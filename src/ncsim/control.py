@@ -19,7 +19,7 @@ applied since the sample was taken when the delivery arrives late.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -246,20 +246,3 @@ class InputLog:
     def __len__(self) -> int:
         return len(self._items)
 
-
-@dataclass
-class LoopState:
-    """Evolving state of one loop: plant, controller estimate, sampler error."""
-
-    x: np.ndarray
-    xhat: np.ndarray
-    e: np.ndarray
-    k: int = 0
-    inputs: InputLog = field(default_factory=InputLog)
-    last_applied_birth: int = -1
-    delta_prev: int = 0
-
-    @classmethod
-    def initial(cls, spec: PlantSpec) -> "LoopState":
-        n = spec.n
-        return cls(x=np.zeros(n), xhat=np.zeros(n), e=np.zeros(n))

@@ -6,6 +6,14 @@ the input, advance plant / estimator / error) and then makes its sampling
 decision against the current source backlog.  Within every slot the
 scheduler picks links by differential backlog and moves packets.
 
+The scheduler's state is incremental: a table of queue lengths per hop and
+loop, and per hop group the differential-backlog weight of every loop.
+Invariant: at the start of each slot's pick both equal what the buffers
+hold, because they are refreshed from the buffers for every loop that
+injected at the boundary or was scheduled in the slot before, and no other
+loop's queues change.  A slot's work thus scales with the loops it touches,
+not with L.
+
 The control input for period k is computed at the *end* of the period, so
 a sample that traverses the network within its own period is used with
 zero effective delay; this is what produces the paper-style zero-delay,
@@ -23,7 +31,8 @@ import numpy as np
 
 from .control import InputLog, PlantSpec, design_lqg
 from .network import (ActionSet, BufferSet, ConstantLinkState, Packet,
-                      Topology, stability_diagnostic, transmit)
+                      Topology, differential_backlog, pick_max_weight,
+                      stability_diagnostic, transmit)
 from .sampler import ViConfig, build_table, default_lambda_grid, plant_class_id
 
 STABLE_A = 0.75
@@ -263,7 +272,9 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     err = np.zeros(L)
     input_logs = [InputLog() for _ in range(L)]
     last_applied = [-1] * L
-    pending: list = [[] for _ in range(L)]  # (birth_step, payload) delivered, not yet applied
+    # loop -> (birth_step, payload) of its newest delivery not yet applied;
+    # queues are FIFO, so a loop's last delivery is its newest
+    newest: dict = {}
 
     injected = np.zeros(L)
     delivered_cnt = np.zeros(L)
@@ -279,7 +290,39 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
 
     warmup_slot = warmup * spst
     total_slots = horizon * spst
-    groups = scenario.hop_groups
+
+    # Back-pressure state.  backlog[p][i] is the length of loop i's queue at
+    # hop p (0 past its path); each hop group keeps the differential-backlog
+    # weight of every loop.  Both change only for loops that inject or are
+    # scheduled, so only those are re-read from the buffers.
+    hops = max(map(len, chains), default=0)
+    backlog = [[0] * L for _ in range(hops + 1)]
+    q0 = backlog[0]
+    cells = [[(backlog[p], queue) for p, queue in enumerate(chain)] for chain in chains]
+    weight_rows = []  # per hop group: (weights, backlog at the hop, backlog one hop on)
+    sched = []        # per hop group: (weights, each loop's link at the hop, capacity, rate)
+    for group in scenario.hop_groups:
+        pos = group.position
+        if pos < hops:  # no path reaches a group further out
+            weights = [0.0] * L
+            weight_rows.append((weights, backlog[pos], backlog[pos + 1]))
+            links = [scenario.topology.paths[i][pos] if pos < len(chains[i]) else None
+                     for i in range(L)]
+            sched.append((weights, links, group.capacity, group.rate))
+
+    def refresh(i: int, start: int) -> None:
+        """Re-read loop i's queue lengths, which hold from slot `start` on.
+
+        backlog_acc sums the source backlog over the slots past warm-up; a
+        change of it is added once, times every such slot from `start` to
+        the end of the run, so no slot needs a pass over the loops.
+        """
+        old = q0[i]
+        for row, queue in cells[i]:
+            row[i] = len(queue)
+        backlog_acc[i] += (q0[i] - old) * (total_slots - max(start, warmup_slot))
+        for weights, here, ahead in weight_rows:
+            weights[i] = differential_backlog(here[i], ahead[i], theta)
 
     for slot in range(total_slots):
         if slot % spst == 0:
@@ -288,16 +331,15 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                 # close period m-1: deliveries first, then the input they inform
                 fresh = []  # loops whose newest sample arrived with zero delay
                 late = []   # loops corrected by an older delivery this boundary
-                for i in range(L):
-                    if pending[i]:
-                        birth, payload = max(pending[i], key=lambda t: t[0])
-                        pending[i].clear()
-                        if birth > last_applied[i]:
-                            inputs = input_logs[i].window(birth, m - 1)
-                            xhat[i] = _replay_scalar(a[i], b[i], payload, inputs)
-                            last_applied[i] = birth
-                            input_logs[i].prune(birth)
-                            (fresh if birth == m - 1 else late).append(i)
+                for i in sorted(newest):
+                    birth, payload = newest[i]
+                    if birth > last_applied[i]:
+                        inputs = input_logs[i].window(birth, m - 1)
+                        xhat[i] = _replay_scalar(a[i], b[i], payload, inputs)
+                        last_applied[i] = birth
+                        input_logs[i].prune(birth)
+                        (fresh if birth == m - 1 else late).append(i)
+                newest.clear()
                 u = -k_gain * xhat
                 for i in range(L):
                     input_logs[i].record(m - 1, u[i])
@@ -317,7 +359,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                     error_trace[m - 1] = err
 
             # sampling decision at step m against the instantaneous source backlog
-            src_backlog = np.array([len(chain[0]) for chain in chains], dtype=float)
+            src_backlog = np.array(q0, dtype=float)
             backlog_trace[m] = src_backlog
             if force_delta is not None:
                 delta = force_delta[m].astype(float)
@@ -330,48 +372,33 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             if record_errors:
                 delta_trace[m] = delta
             for i in np.flatnonzero(delta):
-                buffers.cc_push(Packet(loop_id=int(i), birth_step=m, payload=float(x[i])))
-                buffers.cc_admit(int(i), slot)
+                i = int(i)
+                buffers.cc_push(Packet(loop_id=i, birth_step=m, payload=float(x[i])))
+                buffers.cc_admit(i, slot)
+                refresh(i, slot)
                 injected_total += 1
                 if m >= warmup:
                     injected[i] += 1
 
-        # back-pressure slot: snapshot weights, pick per-hop winners, move packets
+        # back-pressure slot: pick per-hop winners by weight, move packets
         if injected_total == delivered_total:
             continue  # all buffers empty, nothing to schedule
-        lens = [[len(q) for q in chain] for chain in chains]
-        if slot >= warmup_slot:
-            for i in range(L):
-                backlog_acc[i] += lens[i][0]
         assignments = []
-        for group in groups:
-            pos = group.position
-            cand_w = []
-            cand_i = []
-            for i in range(L):
-                chain_len = len(chains[i])
-                if pos >= chain_len:
-                    continue
-                backlog = lens[i][pos]
-                if backlog == 0:
-                    continue
-                ahead = lens[i][pos + 1] if pos + 1 < chain_len else 0
-                wgt = theta * (backlog - ahead)
-                if wgt > 0:
-                    cand_w.append(wgt)
-                    cand_i.append(i)
-            for i in _pick_max_weight(cand_w, cand_i, group.capacity, tie_rng):
-                assignments.append((scenario.topology.paths[i][pos], i, group.rate))
+        for weights, links, capacity, rate in sched:
+            for i in pick_max_weight(weights, capacity, tie_rng):
+                assignments.append((links[i], i, rate))
         if assignments:
             for loop, packet in transmit(buffers, assignments, slot):
                 delivered_total += 1
                 delay_steps = (slot - packet.birth_step * spst) // spst
-                pending[loop].append((packet.birth_step, packet.payload))
+                newest[loop] = (packet.birth_step, packet.payload)
                 if delivered_births is not None:
                     delivered_births[loop].append(packet.birth_step)
                 if packet.birth_step >= warmup:
                     delivered_cnt[loop] += 1
                     delay_sum[loop] += delay_steps
+            for i in {i for _, i, _ in assignments}:
+                refresh(i, slot + 1)
 
         if check_conservation:
             if injected_total != delivered_total + buffers.resident():
@@ -392,38 +419,6 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         error_trace=error_trace, delta_trace=delta_trace,
         delivered_births=delivered_births,
     )
-
-
-def _pick_max_weight(weights: list, ids: list, capacity: int,
-                     rng: np.random.Generator) -> list:
-    """Up to `capacity` ids with the largest weights, uniform among ties."""
-    if not ids:
-        return []
-    chosen: list = []
-    remaining_w = list(weights)
-    remaining_i = list(ids)
-    while remaining_i and len(chosen) < capacity:
-        top = max(remaining_w)
-        tier = [j for j, w in enumerate(remaining_w) if w == top]
-        need = capacity - len(chosen)
-        if len(tier) <= need:
-            take = tier
-        elif need == 1:
-            take = [tier[int(rng.integers(len(tier)))]]
-        elif need == 2:
-            # uniform unordered pair without replacement
-            first = int(rng.integers(len(tier)))
-            second = int(rng.integers(len(tier) - 1))
-            if second >= first:
-                second += 1
-            take = [tier[first], tier[second]]
-        else:
-            take = [tier[j] for j in rng.choice(len(tier), size=need, replace=False)]
-        chosen.extend(remaining_i[j] for j in take)
-        for j in sorted(take, reverse=True):
-            del remaining_w[j]
-            del remaining_i[j]
-    return chosen
 
 
 def run_seed(master_seed: int, L: int, rep: int) -> int:

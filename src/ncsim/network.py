@@ -147,6 +147,55 @@ def assign_flow(weights: Mapping, rng: np.random.Generator):
     return tied[int(rng.integers(len(tied)))]
 
 
+def pick_max_weight(weights: list, capacity: int, rng: np.random.Generator) -> list:
+    """Indices of up to `capacity` largest positive weights, uniform among ties.
+
+    Per-hop max-weight selection: weights are taken tier by tier from the
+    top; a tier larger than the remaining capacity is sampled without
+    replacement from `rng`.  Entries taken are masked while picking and
+    restored before returning, so `weights` is left as it was given.
+    """
+    chosen: list = []
+    masked: list = []  # (tier, weight) of whole tiers hidden from later rounds
+    need = capacity
+    while need > 0:
+        top = max(weights, default=0)
+        if top <= 0:
+            break
+        tied = weights.count(top)
+        if tied == 1:
+            take = [weights.index(top)]
+        else:
+            tier = []
+            j = -1
+            for _ in range(tied):
+                j = weights.index(top, j + 1)
+                tier.append(j)
+            if tied <= need:
+                take = tier
+            elif need == 1:
+                take = [tier[int(rng.integers(tied))]]
+            elif need == 2:
+                # uniform unordered pair without replacement
+                first = int(rng.integers(tied))
+                second = int(rng.integers(tied - 1))
+                if second >= first:
+                    second += 1
+                take = [tier[first], tier[second]]
+            else:
+                take = [tier[j] for j in rng.choice(tied, size=need, replace=False)]
+        chosen += take
+        need -= len(take)
+        if need > 0:  # the whole tier was taken
+            for j in take:
+                weights[j] = 0
+            masked.append((take, top))
+    for tier, top in masked:
+        for j in tier:
+            weights[j] = top
+    return chosen
+
+
 @dataclass(frozen=True)
 class ActionSet:
     """Enumerable joint actions plus the rate function R(Q, A) per link."""

@@ -24,6 +24,7 @@ its own loop.  Tables map a price grid to thresholds and interpolate.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -120,13 +121,17 @@ class ThresholdTable:
         """Two-column plain text (lambda, M) with a class-naming header.
 
         Values carry 17 significant digits so a load reproduces the
-        doubles exactly.
+        doubles exactly.  The text goes to a per-process temporary file
+        beside `path` that is then renamed onto it, so runs sharing a cache
+        directory never read or interleave a partly written table.
         """
         lines = [f"# threshold-table class={self.class_id}"]
         for lam, thr in zip(self.lambdas, self.thresholds):
             lines.append(f"{lam:.17g} {thr:.17g}")
-        with open(path, "w", encoding="utf-8") as fh:
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "ThresholdTable":

@@ -6,7 +6,8 @@ import pytest
 from ncsim.control import PlantSpec, design_lqg
 from ncsim.engine import (HopGroup, Scenario, build_scenario_tables,
                           make_two_hop_scenario, run, run_seed, sweep)
-from ncsim.network import ActionSet, ConstantLinkState, Topology, wsr_schedule
+from ncsim.network import (ActionSet, ConstantLinkState, Topology,
+                           pick_max_weight, wsr_schedule)
 from ncsim.sampler import ThresholdTable, plant_class_id
 
 
@@ -137,7 +138,7 @@ class TestRun:
 
 class TestSchedulerFastPath:
     def test_engine_choice_matches_exhaustive_wsr_objective(self, tables):
-        """Per-hop top-2 selection equals argmax over the enumerated action set."""
+        """The engine's per-hop pick scores the argmax over the enumerated action set."""
         sc = make_two_hop_scenario(4, seed=0, horizon=1000)
         uplinks = [sc.topology.paths[i][0] for i in range(4)]
         downlinks = [sc.topology.paths[i][1] for i in range(4)]
@@ -151,12 +152,12 @@ class TestSchedulerFastPath:
                 weights[downlinks[i]] = mid[i]
             choice = wsr_schedule(None, weights, sc.action_set,
                                   np.random.default_rng(0))
-            # closed form: top-2 positive weights per hop
-            expected = 0.0
-            for group in (sorted((weights[l] for l in uplinks), reverse=True),
-                          sorted((weights[l] for l in downlinks), reverse=True)):
-                expected += sum(w for w in group[:2] if w > 0)
-            assert choice.value == expected
+            total = 0.0
+            for group, links in zip(sc.hop_groups, (uplinks, downlinks)):
+                hop = [weights[link] for link in links]
+                picked = pick_max_weight(hop, group.capacity, np.random.default_rng(0))
+                total += sum(hop[j] for j in picked)
+            assert choice.value == total
 
 
 class TestSweep:

@@ -1,0 +1,81 @@
+"""Bit-for-bit parity of `engine.run` with the previous engine (engine_oracle)."""
+
+import numpy as np
+import pytest
+
+import engine_oracle
+from ncsim.control import PlantSpec
+from ncsim.engine import (HopGroup, Scenario, build_scenario_tables,
+                          make_two_hop_scenario, run)
+from ncsim.network import ActionSet, ConstantLinkState, Topology
+
+ARRAY_FIELDS = ("injected", "delivered", "delay_sum", "cost_sum", "backlog_sum",
+                "diverging", "error_trace", "delta_trace")
+
+
+@pytest.fixture(scope="module")
+def tables():
+    return build_scenario_tables(make_two_hop_scenario(2, seed=0, horizon=1000))
+
+
+def assert_parity(scenario, tables, **options):
+    new = run(scenario, tables, **options)
+    old = engine_oracle.run(scenario, tables, **options)
+    for name in ARRAY_FIELDS:
+        got, want = getattr(new, name), getattr(old, name)
+        assert (got is None) == (want is None), name
+        assert got is None or np.array_equal(got, want), name
+    assert new.delivered_births == old.delivered_births
+    return new
+
+
+def mixed_scenario(n: int, horizon: int, seed: int) -> Scenario:
+    """Every third loop on a one-hop path, the rest on three hops via r1 and r2.
+
+    Hop capacities 3/1/2, so a tie tier larger than the remaining capacity
+    of 3 exercises the sampled-without-replacement tie-break.
+    """
+    plants, labels, paths, src, dst = [], [], {}, {}, {}
+    for i in range(n):
+        a = 0.75 if i % 2 == 0 else 1.25
+        plants.append(PlantSpec(A=a, B=1.0, Z=1.0, Qx=1.0, Qu=0.0))
+        labels.append("stable" if a < 1 else "unstable")
+        s, d = f"s{i}", f"d{i}"
+        paths[i] = ((s, "r1"), ("r1", "r2"), ("r2", d)) if i % 3 else ((s, d),)
+        src[i], dst[i] = s, d
+    topology = Topology(
+        nodes=frozenset({"r1", "r2"} | set(src.values()) | set(dst.values())),
+        links=frozenset(link for path in paths.values() for link in path),
+        paths=paths, src=src, dst=dst)
+    return Scenario(plants=plants, class_labels=labels, topology=topology,
+                    action_set=ActionSet(actions=[()], rate_fn=lambda q, a: {}),
+                    hop_groups=[HopGroup(0, 3), HopGroup(1, 1), HopGroup(2, 2)],
+                    link_state=ConstantLinkState(), slots_per_step=10,
+                    horizon=horizon, seed=seed)
+
+
+@pytest.mark.parametrize("L", [2, 4, 20, 44])
+def test_congestion_sweep_points(tables, L):
+    assert_parity(make_two_hop_scenario(L, seed=100 + L, horizon=2000), tables, theta=0.8)
+
+
+def test_starving_loops_at_low_theta(tables):
+    m = assert_parity(make_two_hop_scenario(44, seed=3, horizon=2000), tables, theta=0.05)
+    assert np.any(m.delivered == 0)  # the regime where loops starve
+
+
+def test_forced_delta_with_recorded_traces(tables):
+    force = np.random.default_rng(1).random((1000, 4)) < 0.5
+    assert_parity(make_two_hop_scenario(4, seed=5, horizon=1000), tables, theta=0.8,
+                  force_delta=force, record_errors=True)
+
+
+def test_conservation_check_under_load(tables):
+    assert_parity(make_two_hop_scenario(24, seed=2, horizon=1000), tables, theta=0.8,
+                  check_conservation=True)
+
+
+def test_mixed_path_lengths_and_capacities(tables):
+    m = assert_parity(mixed_scenario(10, horizon=1500, seed=4), tables, theta=0.8,
+                      check_conservation=True)
+    assert m.delivered.sum() > 0

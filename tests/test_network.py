@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import engine_oracle
 from ncsim.network import (ActionSet, BufferSet, Packet, RateContractError,
                            Topology, assign_flow, differential_backlog,
-                           lindley_step, stability_diagnostic, transmit,
-                           wsr_schedule)
+                           lindley_step, pick_max_weight, stability_diagnostic,
+                           transmit, wsr_schedule)
 
 
 def line_topology():
@@ -113,6 +114,23 @@ class TestAssignFlow:
         wins = sum(assign_flow({1: 2.0, 2: 2.0}, rng) == 1 for _ in range(n))
         sigma = (n * 0.25) ** 0.5
         assert abs(wins - n / 2) <= 3 * sigma
+
+
+class TestPickMaxWeight:
+    @settings(max_examples=400, deadline=None)
+    @given(weights=st.lists(st.integers(-2, 4), max_size=14),
+           capacity=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_previous_engine_picker(self, weights, capacity, seed):
+        """Same ids in the same order and the same tie-break draws as the old picker."""
+        ids = [i for i, w in enumerate(weights) if w > 0]
+        old_rng = np.random.default_rng(seed)
+        want = engine_oracle._pick_max_weight([weights[i] for i in ids], ids,
+                                              capacity, old_rng)
+        new_rng = np.random.default_rng(seed)
+        given_weights = list(weights)
+        assert pick_max_weight(weights, capacity, new_rng) == want
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        assert weights == given_weights
 
 
 def dict_action_set(actions_to_rates):

@@ -149,6 +149,17 @@ class TestSerialization:
         assert np.array_equal(loaded.lambdas, table.lambdas)
         assert np.array_equal(loaded.thresholds, table.thresholds)
 
+    def test_save_replaces_existing_table(self, tmp_path, stable, unstable):
+        path = tmp_path / "table.txt"
+        build_table([0.0, 1.0], *stable).save(path)
+        table = build_table([0.0, 2.0, 5.0], *unstable)
+        table.save(path)
+        loaded = ThresholdTable.load(path)
+        assert loaded.class_id == table.class_id
+        assert np.array_equal(loaded.lambdas, table.lambdas)
+        assert np.array_equal(loaded.thresholds, table.thresholds)
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_header_names_class(self, tmp_path, stable):
         table = build_table([0.0], *stable)
         path = tmp_path / "t.txt"
