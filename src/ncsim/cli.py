@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import METRIC_NAMES, SweepResult, make_two_hop_scenario, sweep
+from .engine import (METRIC_NAMES, NonFiniteError, SweepResult,
+                     make_two_hop_scenario, sweep)
 from .sampler import (ThresholdTable, ViConfig, build_table,
                       default_lambda_grid, plant_class_id)
 from .control import design_lqg
@@ -278,6 +279,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except NonFiniteError as exc:
+        print(f"unstable: {exc}", file=sys.stderr)
+        return EXIT_UNSTABLE
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR

@@ -211,38 +211,33 @@ def stage_cost(x: np.ndarray, u: np.ndarray, spec: PlantSpec) -> float:
 
 
 class InputLog:
-    """Applied-input history indexed by control step, pruned as samples land.
+    """Applied inputs of every loop in one (loops, horizon) array.
 
-    Grows on demand; prune(step) drops everything before `step`, which is
-    safe once a sample born at `step` has been applied because older
-    deliveries are discarded as stale.
+    record(step, u) stores all loops' inputs of one step, in step order.
+    prune(loop, step) drops the loop's inputs before `step`, which is safe
+    once a sample born at `step` has been applied because older deliveries
+    are discarded as stale.
     """
 
-    def __init__(self, start_step: int = 0):
-        self._base = start_step
-        self._items: list = []
+    def __init__(self, loops: int, horizon: int):
+        self._u = np.zeros((loops, horizon))
+        self._base = [0] * loops  # per loop, the first step still held
+        self._next = 0
 
     def record(self, step: int, u) -> None:
-        expected = self._base + len(self._items)
-        if step != expected:
-            raise ValueError(f"inputs must be recorded in order: expected step {expected}, got {step}")
-        self._items.append(u)
+        if step != self._next:
+            raise ValueError(f"inputs must be recorded in order: expected step {self._next}, got {step}")
+        self._u[:, step] = u
+        self._next = step + 1
 
-    def window(self, start: int, stop: int) -> list:
-        """Inputs for steps start..stop-1; raises ReplayError on any gap."""
-        if start < self._base:
-            raise ReplayError(f"input history starts at {self._base}, need {start}")
-        if stop > self._base + len(self._items):
-            raise ReplayError(f"input history ends at {self._base + len(self._items)}, need {stop}")
-        lo = start - self._base
-        return self._items[lo:lo + (stop - start)]
+    def window(self, loop: int, start: int, stop: int) -> np.ndarray:
+        """The loop's inputs for steps start..stop-1; raises ReplayError on any gap."""
+        if start < self._base[loop]:
+            raise ReplayError(f"loop {loop}: input history starts at {self._base[loop]}, need {start}")
+        if stop > self._next:
+            raise ReplayError(f"input history ends at {self._next}, need {stop}")
+        return self._u[loop, start:stop]
 
-    def prune(self, keep_from: int) -> None:
-        drop = keep_from - self._base
-        if drop > 0:
-            del self._items[:drop]
-            self._base = keep_from
-
-    def __len__(self) -> int:
-        return len(self._items)
-
+    def prune(self, loop: int, keep_from: int) -> None:
+        if keep_from > self._base[loop]:
+            self._base[loop] = keep_from

@@ -6,12 +6,11 @@ the input, advance plant / estimator / error) and then makes its sampling
 decision against the current source backlog.  Within every slot the
 scheduler picks links by differential backlog and moves packets.
 
-The scheduler's state is incremental: a table of queue lengths per hop and
-loop, and per hop group the differential-backlog weight of every loop.
-Invariant: at the start of each slot's pick both equal what the buffers
-hold, because they are refreshed from the buffers for every loop that
-injected at the boundary or was scheduled in the slot before, and no other
-loop's queues change.  A slot's work thus scales with the loops it touches,
+The scheduler reads the transport's own state: `BufferSet` keeps the count
+table of queue lengths and differential backlogs per hop and loop, and
+`cc_admit` and `transmit` update it for the loops they move.  Each hop
+group picks from its row of that table in place, and the source row prices
+the sampling decision, so a slot's work scales with the loops it touches,
 not with L.
 
 The control input for period k is computed at the *end* of the period, so
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,8 +31,8 @@ import numpy as np
 
 from .control import InputLog, PlantSpec, design_lqg
 from .network import (ActionSet, BufferSet, ConstantLinkState, Packet,
-                      Topology, differential_backlog, pick_max_weight,
-                      stability_diagnostic, transmit)
+                      Topology, pick_max_weight, stability_diagnostic,
+                      transmit)
 from .sampler import ViConfig, build_table, default_lambda_grid, plant_class_id
 
 STABLE_A = 0.75
@@ -40,6 +40,10 @@ UNSTABLE_A = 1.25
 CLASS_LABELS = {STABLE_A: "stable", UNSTABLE_A: "unstable"}
 
 _TIE_STREAM = 1_000_003  # reserved seed-sequence key for scheduler tie-breaks
+
+
+class NonFiniteError(ArithmeticError):
+    """A loop's plant state or cost overflowed to inf or nan."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,20 @@ class Scenario:
             raise ValueError("slots_per_step must be at least 1")
         if len(self.plants) != len(self.class_labels):
             raise ValueError("one class label per plant required")
+        paths = self.topology.paths
+        if set(paths) != set(range(len(self.plants))):
+            raise ValueError("topology.paths must be keyed by the loops 0..L-1")
+        positions = [group.position for group in self.hop_groups]
+        if len(set(positions)) != len(positions):
+            raise ValueError(f"hop group positions must be distinct, got {positions}")
+        reach = max(map(len, paths.values()), default=0)
+        for group in self.hop_groups:
+            if not 0 <= group.position < reach:
+                raise ValueError(f"hop group at position {group.position}: no path reaches it")
+            for name, value in (("capacity", group.capacity), ("rate", group.rate)):
+                if not isinstance(value, numbers.Integral) or value < 1:
+                    raise ValueError(f"hop group at position {group.position}: {name} "
+                                     f"must be an integer >= 1, got {value!r}")
 
 
 class _TwoHopActions:
@@ -176,10 +194,9 @@ class RunMetrics:
 
     @property
     def delay_per_loop(self) -> np.ndarray:
-        out = np.zeros_like(self.delay_sum)
-        mask = self.delivered > 0
-        out[mask] = self.delay_sum[mask] / self.delivered[mask]
-        return out
+        """Mean delay per loop; NaN, undefined, for a loop that delivered nothing."""
+        with np.errstate(invalid="ignore"):
+            return self.delay_sum / self.delivered
 
     @property
     def cost_per_loop(self) -> np.ndarray:
@@ -190,30 +207,37 @@ class RunMetrics:
         return self.backlog_sum / self.slots_backlog
 
     def class_means(self, values: np.ndarray) -> dict:
+        """Mean over all loops and per class of the finite `values`; NaN if none is."""
         labels = np.asarray(self.class_labels)
-        out = {"all": float(values.mean())}
+        finite = np.isfinite(values)
+        out = {"all": _mean(values[finite])}
         for label in dict.fromkeys(self.class_labels):
-            out[label] = float(values[labels == label].mean())
+            out[label] = _mean(values[(labels == label) & finite])
         return out
+
+
+def _mean(values: np.ndarray) -> float:
+    return float(values.mean()) if values.size else math.nan
 
 
 def _loop_rng_seed(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, key]))
 
 
-def _replay_scalar(a: float, b: float, x_sampled: float, inputs) -> float:
+def _replay_scalar(a: float, b: float, powers: np.ndarray, x_sampled: float,
+                   inputs: np.ndarray) -> float:
     """Closed-form scalar delivery replay: a^d x + sum_j a^(d-1-j) b u_j.
 
-    Matches control.estimator_deliver; the dot-product form keeps long
-    replays (heavily congested runs) from dominating the runtime.
+    Matches control.estimator_deliver; `powers` ends in a^(d-1), ..., a^0,
+    and the dot-product form keeps long replays (heavily congested runs)
+    from dominating the runtime.
     """
     d = len(inputs)
     if d == 0:
         return x_sampled
     if d == 1:
         return a * x_sampled + b * inputs[0]
-    powers = a ** np.arange(d - 1, -1, -1, dtype=float)
-    return (a ** d) * x_sampled + b * float(powers @ np.asarray(inputs, dtype=float))
+    return (a ** d) * x_sampled + b * float(powers[-d:] @ inputs)
 
 
 def run(scenario: Scenario, tables: dict, theta: float = 1.0,
@@ -223,7 +247,8 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
 
     `tables` maps plant class ids to ThresholdTable.  `force_delta`, when
     given as a (horizon, L) boolean array, overrides the threshold sampler
-    (used by oracle tests).
+    (used by oracle tests).  Raises NonFiniteError, naming the loops, if a
+    plant state or cost overflowed.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -263,23 +288,28 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     cid_index = {cid: np.array([i for i, c in enumerate(class_ids) if c == cid])
                  for cid in unique_cids}
 
-    buffers = BufferSet(scenario.topology)
-    chains = [[buffers.tx[(node, i)] for node in scenario.topology.path_nodes(i)]
-              for i in range(L)]
+    # per plant class a^j for j = horizon-1 .. 0, sliced by _replay_scalar; a
+    # power past the float range is inf and read only by a replay that deep
+    with np.errstate(over="ignore"):
+        rows = {ai: ai ** np.arange(horizon - 1, -1, -1, dtype=float) for ai in set(a.tolist())}
+    powers = [rows[ai] for ai in a.tolist()]
 
     x = np.zeros(L)
     xhat = np.zeros(L)
     err = np.zeros(L)
-    input_logs = [InputLog() for _ in range(L)]
+    input_log = InputLog(L, horizon)
     last_applied = [-1] * L
-    # loop -> (birth_step, payload) of its newest delivery not yet applied;
-    # queues are FIFO, so a loop's last delivery is its newest
+    # loop -> its newest delivered packet not yet applied; queues are FIFO,
+    # so a loop's last delivery is its newest
     newest: dict = {}
 
     injected = np.zeros(L)
-    delivered_cnt = np.zeros(L)
-    delay_sum = np.zeros(L)
+    delivered_cnt = [0] * L
+    delay_sum = [0] * L
     cost_sum = np.zeros(L)
+    # backlog_acc sums the source backlog over the slots past warm-up; a change
+    # of it is added once, times every such slot from the change to the end
+    # of the run, so no slot needs a pass over the loops
     backlog_acc = [0] * L
     backlog_trace = np.zeros((horizon, L), dtype=np.int32)
     error_trace = np.zeros((horizon, L)) if record_errors else None
@@ -291,38 +321,14 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     warmup_slot = warmup * spst
     total_slots = horizon * spst
 
-    # Back-pressure state.  backlog[p][i] is the length of loop i's queue at
-    # hop p (0 past its path); each hop group keeps the differential-backlog
-    # weight of every loop.  Both change only for loops that inject or are
-    # scheduled, so only those are re-read from the buffers.
-    hops = max(map(len, chains), default=0)
-    backlog = [[0] * L for _ in range(hops + 1)]
-    q0 = backlog[0]
-    cells = [[(backlog[p], queue) for p, queue in enumerate(chain)] for chain in chains]
-    weight_rows = []  # per hop group: (weights, backlog at the hop, backlog one hop on)
-    sched = []        # per hop group: (weights, each loop's link at the hop, capacity, rate)
+    buffers = BufferSet(scenario.topology)
+    q0 = buffers.backlog[0]
+    paths = scenario.topology.paths
+    sched = []  # per hop group: (weights, each loop's link at the hop, capacity, rate, at source)
     for group in scenario.hop_groups:
         pos = group.position
-        if pos < hops:  # no path reaches a group further out
-            weights = [0.0] * L
-            weight_rows.append((weights, backlog[pos], backlog[pos + 1]))
-            links = [scenario.topology.paths[i][pos] if pos < len(chains[i]) else None
-                     for i in range(L)]
-            sched.append((weights, links, group.capacity, group.rate))
-
-    def refresh(i: int, start: int) -> None:
-        """Re-read loop i's queue lengths, which hold from slot `start` on.
-
-        backlog_acc sums the source backlog over the slots past warm-up; a
-        change of it is added once, times every such slot from `start` to
-        the end of the run, so no slot needs a pass over the loops.
-        """
-        old = q0[i]
-        for row, queue in cells[i]:
-            row[i] = len(queue)
-        backlog_acc[i] += (q0[i] - old) * (total_slots - max(start, warmup_slot))
-        for weights, here, ahead in weight_rows:
-            weights[i] = differential_backlog(here[i], ahead[i], theta)
+        links = [paths[i][pos] if pos < len(paths[i]) else None for i in range(L)]
+        sched.append((buffers.diff[pos], links, group.capacity, group.rate, pos == 0))
 
     for slot in range(total_slots):
         if slot % spst == 0:
@@ -332,17 +338,16 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                 fresh = []  # loops whose newest sample arrived with zero delay
                 late = []   # loops corrected by an older delivery this boundary
                 for i in sorted(newest):
-                    birth, payload = newest[i]
+                    _, birth, payload = newest[i]
                     if birth > last_applied[i]:
-                        inputs = input_logs[i].window(birth, m - 1)
-                        xhat[i] = _replay_scalar(a[i], b[i], payload, inputs)
+                        inputs = input_log.window(i, birth, m - 1)
+                        xhat[i] = _replay_scalar(a[i], b[i], powers[i], payload, inputs)
                         last_applied[i] = birth
-                        input_logs[i].prune(birth)
+                        input_log.prune(i, birth)
                         (fresh if birth == m - 1 else late).append(i)
                 newest.clear()
                 u = -k_gain * xhat
-                for i in range(L):
-                    input_logs[i].record(m - 1, u[i])
+                input_log.record(m - 1, u)
                 w = noise[m - 1]
                 if m - 1 >= warmup:
                     cost_sum += qx * x * x + qu * u * u
@@ -351,10 +356,8 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                 # sampler error: Eq-18 style coast/reset, resynchronized to the
                 # true estimation error whenever a delivery arrived late
                 err = a * err + w
-                for i in fresh:
-                    err[i] = w[i]
-                for i in late:
-                    err[i] = x[i] - xhat[i]
+                err[fresh] = w[fresh]
+                err[late] = x[late] - xhat[late]
                 if record_errors:
                     error_trace[m - 1] = err
 
@@ -371,34 +374,39 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                 delta = (np.abs(err) > thresholds).astype(float)
             if record_errors:
                 delta_trace[m] = delta
-            for i in np.flatnonzero(delta):
-                i = int(i)
-                buffers.cc_push(Packet(loop_id=i, birth_step=m, payload=float(x[i])))
-                buffers.cc_admit(i, slot)
-                refresh(i, slot)
-                injected_total += 1
-                if m >= warmup:
-                    injected[i] += 1
+            remaining = total_slots - max(slot, warmup_slot)
+            sampled = np.flatnonzero(delta).tolist()
+            payloads = x.tolist()
+            for i in sampled:
+                buffers.cc_push(Packet(i, m, payloads[i]))
+                backlog_acc[i] += buffers.cc_admit(i) * remaining
+            injected_total += len(sampled)
+            if m >= warmup:
+                injected += delta
 
         # back-pressure slot: pick per-hop winners by weight, move packets
         if injected_total == delivered_total:
             continue  # all buffers empty, nothing to schedule
         assignments = []
-        for weights, links, capacity, rate in sched:
+        leaving = []  # (loop, source backlog before the move) of loops sent from the source
+        for weights, links, capacity, rate, at_source in sched:
             for i in pick_max_weight(weights, capacity, tie_rng):
                 assignments.append((links[i], i, rate))
+                if at_source:
+                    leaving.append((i, q0[i]))
         if assignments:
             for loop, packet in transmit(buffers, assignments, slot):
                 delivered_total += 1
-                delay_steps = (slot - packet.birth_step * spst) // spst
-                newest[loop] = (packet.birth_step, packet.payload)
+                newest[loop] = packet
+                birth = packet.birth_step
                 if delivered_births is not None:
-                    delivered_births[loop].append(packet.birth_step)
-                if packet.birth_step >= warmup:
+                    delivered_births[loop].append(birth)
+                if birth >= warmup:
                     delivered_cnt[loop] += 1
-                    delay_sum[loop] += delay_steps
-            for i in {i for _, i, _ in assignments}:
-                refresh(i, slot + 1)
+                    delay_sum[loop] += m - birth  # whole periods since the sample
+            remaining = total_slots - max(slot + 1, warmup_slot)
+            for i, before in leaving:
+                backlog_acc[i] += (q0[i] - before) * remaining
 
         if check_conservation:
             if injected_total != delivered_total + buffers.resident():
@@ -407,11 +415,16 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                     f"{injected_total} injected vs {delivered_total} delivered "
                     f"+ {buffers.resident()} resident")
 
+    overflowed = np.flatnonzero(~(np.isfinite(cost_sum) & np.isfinite(x)))
+    if overflowed.size:
+        raise NonFiniteError(f"plant state or cost is not finite on loops "
+                             f"{overflowed.tolist()} (seed {scenario.seed})")
     diverging = np.array([stability_diagnostic(backlog_trace[:, i]).diverging
                           for i in range(L)])
     return RunMetrics(
         class_labels=list(scenario.class_labels),
-        injected=injected, delivered=delivered_cnt, delay_sum=delay_sum,
+        injected=injected, delivered=np.array(delivered_cnt, dtype=float),
+        delay_sum=np.array(delay_sum, dtype=float),
         cost_sum=cost_sum, backlog_sum=np.array(backlog_acc, dtype=float),
         steps_rate=horizon - warmup, steps_cost=max(horizon - 1 - warmup, 1),
         slots_backlog=total_slots - warmup_slot,

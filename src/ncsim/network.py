@@ -1,17 +1,18 @@
 """Packet transport over a fixed-route multi-hop network.
 
-Buffers follow Lindley dynamics, congestion control is pass-through (the
-network-aware sampler already throttles injection), and per-slot link use
-is decided by back-pressure: flows are prioritized by differential backlog
-[B_source - B_nexthop]+ and the joint action maximizes the weighted sum
-rate over an enumerable action set.
+Packets are unit-size and FIFO per loop, so every queue is an integer count
+that `BufferSet` keeps, with its differential backlog [B_source - B_nexthop]+,
+as Lindley dynamics move packets.  Congestion control is pass-through (the
+network-aware sampler already throttles injection), and per-slot link use is
+decided by back-pressure: flows are prioritized by differential backlog and
+the joint action maximizes the weighted sum rate over an enumerable action set.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,58 +63,65 @@ class Topology:
         return tuple(link[0] for link in self.paths[loop])
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One sampled state in flight; size is in whole information units."""
+class Packet(NamedTuple):
+    """One sampled state in flight; every packet is one unit of data."""
 
     loop_id: int
     birth_step: int
     payload: float
-    size: int = 1
-
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError("packet size must be positive")
 
 
 class BufferSet:
-    """Per-loop CC buffers at the sources plus per-(node, loop) MAC buffers.
+    """Queue state as integer counts, for loops 0..L-1 along H hops at most.
 
-    MAC entries are (ready_slot, packet): data admitted from the CC buffer
-    is transmittable in the admission slot, data received over a link only
-    from the next slot.  Destination buffers do not exist; arrivals there
-    are handed straight up.
+    backlog[p][i] counts loop i's packets in the MAC buffer at hop p of its
+    path (0 past the path; row H is all zero) and diff[p][i] is the weight
+    [backlog[p][i] - backlog[p+1][i]]+; cc_admit and transmit update both
+    for the loops they move.  A loop's resident packets, CC buffer included,
+    form one deque in birth order, whose head is the next to be delivered.
+    Admitted data is transmittable in the admission slot, data received over
+    a link only from the next slot: arrived[p][i] = (slot, count) stamps the
+    latest arrivals at hop p.  Slots never decrease.  Destination buffers do
+    not exist; arrivals there are handed straight up.
     """
 
     def __init__(self, topology: Topology):
-        self.topology = topology
-        self.cc = {loop: deque() for loop in topology.paths}
-        self.tx = {(node, loop): deque()
-                   for loop in topology.paths
-                   for node in topology.path_nodes(loop)}
+        loops = range(len(topology.paths))
+        self.last = [len(topology.paths[i]) - 1 for i in loops]  # hop that reaches the target
+        self.hop = {(node, i): p for i in loops
+                    for p, node in enumerate(topology.path_nodes(i))}
+        hops = max(self.last, default=-1) + 1
+        self.backlog = [[0] * len(loops) for _ in range(hops + 1)]
+        self.diff = [[0] * len(loops) for _ in range(hops)]
+        self.arrived = [[(None, 0)] * len(loops) for _ in range(hops)]
+        self.packets = [deque() for _ in loops]
+        self.cc = [0] * len(loops)
 
     def cc_push(self, packet: Packet) -> None:
-        self.cc[packet.loop_id].append(packet)
+        self.packets[packet.loop_id].append(packet)
+        self.cc[packet.loop_id] += 1
 
-    def cc_admit(self, loop, slot: int) -> int:
-        """Pass-through congestion control: admit the whole CC backlog."""
-        queue = self.cc[loop]
-        target = self.tx[(self.topology.src[loop], loop)]
-        admitted = len(queue)
-        while queue:
-            target.append((slot, queue.popleft()))
+    def cc_admit(self, loop) -> int:
+        """Pass-through congestion control: admit the whole CC backlog now."""
+        admitted = self.cc[loop]
+        if admitted:
+            self.cc[loop] = 0
+            q0 = self.backlog[0]
+            q0[loop] += admitted
+            gap = q0[loop] - self.backlog[1][loop]
+            self.diff[0][loop] = gap if gap > 0 else 0
         return admitted
 
     def tx_backlog(self, node, loop) -> int:
-        return len(self.tx.get((node, loop), ()))
+        p = self.hop.get((node, loop))
+        return 0 if p is None else self.backlog[p][loop]
 
     def cc_backlog(self, loop) -> int:
-        return len(self.cc[loop])
+        return self.cc[loop]
 
     def resident(self) -> int:
         """Packets currently held anywhere (CC plus MAC)."""
-        return (sum(len(q) for q in self.cc.values())
-                + sum(len(q) for q in self.tx.values()))
+        return sum(map(len, self.packets))
 
 
 def lindley_step(y: float, r: float, mu: float) -> float:
@@ -121,11 +129,6 @@ def lindley_step(y: float, r: float, mu: float) -> float:
     if y < 0 or r < 0 or mu < 0:
         raise ValueError("backlog, arrivals and service must be non-negative")
     return max(y + r - mu, 0.0)
-
-
-def differential_backlog(b_m: float, b_n: float, theta: float = 1.0) -> float:
-    """Back-pressure weight theta * [B_m - B_n]+ of a flow on link (m, n)."""
-    return theta * max(b_m - b_n, 0.0)
 
 
 def assign_flow(weights: Mapping, rng: np.random.Generator):
@@ -261,22 +264,27 @@ def transmit(buffers: BufferSet, assignments: Sequence, slot: int,
                     f"link {link}: assigned rate {total:g} exceeds capacity {cap:g}")
 
     delivered = []
-    for link, loop, rate in assignments:
-        m, n = link
-        queue = buffers.tx[(m, loop)]
-        to_target = n == buffers.topology.dst[loop]
-        budget = int(rate)
-        while budget > 0 and queue and queue[0][0] <= slot:
-            _, packet = queue.popleft()
-            budget -= packet.size
-            if budget < 0:
-                # whole packets only: put it back if it does not fit
-                queue.appendleft((slot, packet))
-                break
-            if to_target:
-                delivered.append((loop, packet))
-            else:
-                buffers.tx[(n, loop)].append((slot + 1, packet))
+    backlog, diff, arrived = buffers.backlog, buffers.diff, buffers.arrived
+    hops = len(diff)
+    for (m, _), loop, rate in assignments:
+        p = buffers.hop[m, loop]
+        here = backlog[p]
+        stamp, fresh = arrived[p][loop]
+        moved = min(int(rate), here[loop] - fresh if stamp == slot else here[loop])
+        if moved <= 0:
+            continue
+        here[loop] -= moved
+        if p == buffers.last[loop]:
+            pop = buffers.packets[loop].popleft
+            for _ in range(moved):
+                delivered.append((loop, pop()))
+        else:
+            backlog[p + 1][loop] += moved
+            stamp, fresh = arrived[p + 1][loop]
+            arrived[p + 1][loop] = (slot, fresh + moved if stamp == slot else moved)
+        for q in range(p - 1 if p else 0, min(p + 2, hops)):  # weights reading hop p or p+1
+            gap = backlog[q][loop] - backlog[q + 1][loop]
+            diff[q][loop] = gap if gap > 0 else 0
     return delivered
 
 

@@ -1,24 +1,227 @@
-"""The engine's slot loop as it was before the incremental back-pressure state.
+"""The engine and transport as they were before the counts-based transport.
 
-Kept verbatim as the parity oracle for `ncsim.engine.run`: for the same
-scenario, tables and options the two must return identical `RunMetrics`
-(tests/test_engine_parity.py).  Not a test module itself.
+Kept as the parity oracle for `ncsim.engine.run` and `ncsim.network`: for
+the same scenario, tables and options the two engines must return identical
+`RunMetrics` (tests/test_engine_parity.py), and the count table of
+`ncsim.network.BufferSet` must match these deque buffers after every call
+(tests/test_network.py).  The deque `BufferSet`, `Packet`, `transmit`, the
+list `InputLog`, `_replay_scalar`, `differential_backlog` and `RunMetrics`
+are copied verbatim from that version, so the oracle imports nothing the
+counts-based transport changed.  Not a test module itself.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ncsim.control import InputLog, design_lqg
-from ncsim.engine import (_TIE_STREAM, RunMetrics, Scenario, _loop_rng_seed,
-                          _replay_scalar)
-from ncsim.network import BufferSet, Packet, stability_diagnostic, transmit
+from ncsim.control import ReplayError, design_lqg
+from ncsim.engine import _TIE_STREAM, _loop_rng_seed
+from ncsim.network import RateContractError, Topology, stability_diagnostic
 from ncsim.sampler import plant_class_id
 
 
-def run(scenario: Scenario, tables: dict, theta: float = 1.0,
+@dataclass(frozen=True)
+class Packet:
+    """One sampled state in flight; size is in whole information units."""
+
+    loop_id: int
+    birth_step: int
+    payload: float
+    size: int = 1
+
+    def __post_init__(self):
+        if self.size <= 0:
+            raise ValueError("packet size must be positive")
+
+
+class BufferSet:
+    """Per-loop CC buffers at the sources plus per-(node, loop) MAC buffers.
+
+    MAC entries are (ready_slot, packet): data admitted from the CC buffer
+    is transmittable in the admission slot, data received over a link only
+    from the next slot.  Destination buffers do not exist; arrivals there
+    are handed straight up.
+    """
+
+    def __init__(self, topology: Topology):
+        self.topology = topology
+        self.cc = {loop: deque() for loop in topology.paths}
+        self.tx = {(node, loop): deque()
+                   for loop in topology.paths
+                   for node in topology.path_nodes(loop)}
+
+    def cc_push(self, packet: Packet) -> None:
+        self.cc[packet.loop_id].append(packet)
+
+    def cc_admit(self, loop, slot: int) -> int:
+        """Pass-through congestion control: admit the whole CC backlog."""
+        queue = self.cc[loop]
+        target = self.tx[(self.topology.src[loop], loop)]
+        admitted = len(queue)
+        while queue:
+            target.append((slot, queue.popleft()))
+        return admitted
+
+    def tx_backlog(self, node, loop) -> int:
+        return len(self.tx.get((node, loop), ()))
+
+    def cc_backlog(self, loop) -> int:
+        return len(self.cc[loop])
+
+    def resident(self) -> int:
+        """Packets currently held anywhere (CC plus MAC)."""
+        return (sum(len(q) for q in self.cc.values())
+                + sum(len(q) for q in self.tx.values()))
+
+
+def differential_backlog(b_m: float, b_n: float, theta: float = 1.0) -> float:
+    """Back-pressure weight theta * [B_m - B_n]+ of a flow on link (m, n)."""
+    return theta * max(b_m - b_n, 0.0)
+
+
+def transmit(buffers: BufferSet, assignments: Sequence, slot: int,
+             link_capacity: Mapping | None = None) -> list:
+    """Move packets for one slot; returns [(loop, packet)] delivered packets.
+
+    `assignments` is a sequence of (link, loop, rate).  Whole packets move
+    FIFO, at most floor(rate) per assignment, and only packets already
+    transmittable this slot (relayed data waits one slot).  Packets that
+    reach the loop's target node are emitted, never buffered.
+    """
+    if link_capacity is not None:
+        totals: dict = {}
+        for link, _, rate in assignments:
+            totals[link] = totals.get(link, 0.0) + rate
+        for link, total in totals.items():
+            cap = link_capacity.get(link, 0.0)
+            if total > cap + 1e-12:
+                raise RateContractError(
+                    f"link {link}: assigned rate {total:g} exceeds capacity {cap:g}")
+
+    delivered = []
+    for link, loop, rate in assignments:
+        m, n = link
+        queue = buffers.tx[(m, loop)]
+        to_target = n == buffers.topology.dst[loop]
+        budget = int(rate)
+        while budget > 0 and queue and queue[0][0] <= slot:
+            _, packet = queue.popleft()
+            budget -= packet.size
+            if budget < 0:
+                # whole packets only: put it back if it does not fit
+                queue.appendleft((slot, packet))
+                break
+            if to_target:
+                delivered.append((loop, packet))
+            else:
+                buffers.tx[(n, loop)].append((slot + 1, packet))
+    return delivered
+
+
+class InputLog:
+    """Applied-input history indexed by control step, pruned as samples land.
+
+    Grows on demand; prune(step) drops everything before `step`, which is
+    safe once a sample born at `step` has been applied because older
+    deliveries are discarded as stale.
+    """
+
+    def __init__(self, start_step: int = 0):
+        self._base = start_step
+        self._items: list = []
+
+    def record(self, step: int, u) -> None:
+        expected = self._base + len(self._items)
+        if step != expected:
+            raise ValueError(f"inputs must be recorded in order: expected step {expected}, got {step}")
+        self._items.append(u)
+
+    def window(self, start: int, stop: int) -> list:
+        """Inputs for steps start..stop-1; raises ReplayError on any gap."""
+        if start < self._base:
+            raise ReplayError(f"input history starts at {self._base}, need {start}")
+        if stop > self._base + len(self._items):
+            raise ReplayError(f"input history ends at {self._base + len(self._items)}, need {stop}")
+        lo = start - self._base
+        return self._items[lo:lo + (stop - start)]
+
+    def prune(self, keep_from: int) -> None:
+        drop = keep_from - self._base
+        if drop > 0:
+            del self._items[:drop]
+            self._base = keep_from
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
+@dataclass
+class RunMetrics:
+    """Per-loop tallies from one run, measured after warm-up."""
+
+    class_labels: list
+    injected: np.ndarray
+    delivered: np.ndarray
+    delay_sum: np.ndarray
+    cost_sum: np.ndarray
+    backlog_sum: np.ndarray
+    steps_rate: int
+    steps_cost: int
+    slots_backlog: int
+    diverging: np.ndarray
+    noise: np.ndarray | None = None
+    error_trace: np.ndarray | None = None
+    delta_trace: np.ndarray | None = None
+    delivered_births: list | None = None
+
+    @property
+    def rate_per_loop(self) -> np.ndarray:
+        return self.injected / self.steps_rate
+
+    @property
+    def delay_per_loop(self) -> np.ndarray:
+        out = np.zeros_like(self.delay_sum)
+        mask = self.delivered > 0
+        out[mask] = self.delay_sum[mask] / self.delivered[mask]
+        return out
+
+    @property
+    def cost_per_loop(self) -> np.ndarray:
+        return self.cost_sum / self.steps_cost
+
+    @property
+    def backlog_per_loop(self) -> np.ndarray:
+        return self.backlog_sum / self.slots_backlog
+
+    def class_means(self, values: np.ndarray) -> dict:
+        labels = np.asarray(self.class_labels)
+        out = {"all": float(values.mean())}
+        for label in dict.fromkeys(self.class_labels):
+            out[label] = float(values[labels == label].mean())
+        return out
+
+
+def _replay_scalar(a: float, b: float, x_sampled: float, inputs) -> float:
+    """Closed-form scalar delivery replay: a^d x + sum_j a^(d-1-j) b u_j.
+
+    Matches control.estimator_deliver; the dot-product form keeps long
+    replays (heavily congested runs) from dominating the runtime.
+    """
+    d = len(inputs)
+    if d == 0:
+        return x_sampled
+    if d == 1:
+        return a * x_sampled + b * inputs[0]
+    powers = a ** np.arange(d - 1, -1, -1, dtype=float)
+    return (a ** d) * x_sampled + b * float(powers @ np.asarray(inputs, dtype=float))
+
+
+def run(scenario, tables: dict, theta: float = 1.0,
         warmup_frac: float = 0.1, force_delta: np.ndarray | None = None,
         record_errors: bool = False, check_conservation: bool = False) -> RunMetrics:
     """Simulate one seeded scenario and collect metrics.

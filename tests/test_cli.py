@@ -4,9 +4,11 @@ import os
 
 import pytest
 
+from ncsim import cli
 from ncsim.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUNTIME_ERROR,
-                       ConfigError, RunConfig, main, parse_config,
-                       run_experiment)
+                       EXIT_UNSTABLE, ConfigError, RunConfig, main,
+                       parse_config, run_experiment)
+from ncsim.engine import NonFiniteError
 
 
 class TestParseConfig:
@@ -118,3 +120,12 @@ class TestRunExperiment:
 
     def test_config_error_exit_code(self):
         assert main(["--replications", "0"]) == EXIT_CONFIG_ERROR
+
+    def test_non_finite_run_exit_code(self, tmp_path, monkeypatch, capsys):
+        def overflowing_sweep(*args, **kwargs):
+            raise NonFiniteError("plant state or cost is not finite on loops [3] (seed 1)")
+        monkeypatch.setattr(cli, "sweep", overflowing_sweep)
+        rc = main(["--L", "2", "--horizon", "1000", "--replications", "1",
+                   "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
+        assert rc == EXIT_UNSTABLE
+        assert "loops [3]" in capsys.readouterr().err

@@ -167,17 +167,26 @@ class TestEstimatorDeliver:
 
 class TestInputLog:
     def test_window_and_prune(self):
-        log = InputLog()
+        log = InputLog(1, 6)
         for step in range(6):
             log.record(step, float(step))
-        assert log.window(2, 5) == [2.0, 3.0, 4.0]
-        log.prune(3)
-        assert log.window(3, 6) == [3.0, 4.0, 5.0]
+        assert list(log.window(0, 2, 5)) == [2.0, 3.0, 4.0]
+        log.prune(0, 3)
+        assert list(log.window(0, 3, 6)) == [3.0, 4.0, 5.0]
         with pytest.raises(ReplayError):
-            log.window(2, 5)
+            log.window(0, 2, 5)
+
+    def test_prune_is_per_loop_and_unrecorded_steps_are_gaps(self):
+        log = InputLog(2, 6)
+        for step in range(4):
+            log.record(step, [float(step), -float(step)])
+        log.prune(0, 3)
+        assert list(log.window(1, 1, 4)) == [-1.0, -2.0, -3.0]
+        with pytest.raises(ReplayError):
+            log.window(1, 2, 5)
 
     def test_out_of_order_record_rejected(self):
-        log = InputLog()
+        log = InputLog(1, 3)
         log.record(0, 1.0)
         with pytest.raises(ValueError):
             log.record(2, 1.0)

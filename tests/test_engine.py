@@ -1,11 +1,14 @@
 """Co-simulation engine: scenario generator, run loop, sweep aggregation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ncsim.control import PlantSpec, design_lqg
-from ncsim.engine import (HopGroup, Scenario, build_scenario_tables,
-                          make_two_hop_scenario, run, run_seed, sweep)
+from ncsim.engine import (HopGroup, NonFiniteError, Scenario,
+                          build_scenario_tables, make_two_hop_scenario, run,
+                          run_seed, sweep)
 from ncsim.network import (ActionSet, ConstantLinkState, Topology,
                            pick_max_weight, wsr_schedule)
 from ncsim.sampler import ThresholdTable, plant_class_id
@@ -47,6 +50,34 @@ class TestScenarioGenerator:
             path = sc.topology.paths[i]
             assert len(path) == 2
             assert path[0][1] == "bs" and path[1][0] == "bs"
+
+
+class TestScenarioValidation:
+    def test_paths_must_be_keyed_by_loop_index(self):
+        sc = make_two_hop_scenario(2, seed=0)
+        paths = {i + 1: path for i, path in sc.topology.paths.items()}
+        topo = dataclasses.replace(sc.topology, paths=paths,
+                                   src={i + 1: n for i, n in sc.topology.src.items()},
+                                   dst={i + 1: n for i, n in sc.topology.dst.items()})
+        with pytest.raises(ValueError, match="0..L-1"):
+            dataclasses.replace(sc, topology=topo)
+
+    def test_hop_positions_must_be_distinct(self):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match="distinct"):
+            dataclasses.replace(sc, hop_groups=[HopGroup(0, 2), HopGroup(0, 1)])
+
+    def test_hop_position_must_be_on_a_path(self):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match="no path reaches"):
+            dataclasses.replace(sc, hop_groups=[HopGroup(0, 2), HopGroup(2, 2)])
+
+    @pytest.mark.parametrize("capacity, rate, field", [(0, 1, "capacity"), (1.5, 1, "capacity"),
+                                                       (2, 0, "rate"), (2, 1.0, "rate")])
+    def test_capacity_and_rate_must_be_positive_integers(self, capacity, rate, field):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(sc, hop_groups=[HopGroup(0, capacity, rate), HopGroup(1, 2)])
 
 
 class TestRun:
@@ -129,6 +160,12 @@ class TestRun:
         m2 = run(sc2, tables)
         for metric in ("rate_per_loop", "delay_per_loop", "cost_per_loop"):
             assert m1.class_means(getattr(m1, metric)) == m2.class_means(getattr(m2, metric))
+
+    def test_overflow_is_an_error_naming_the_loops(self, tables):
+        sc = make_two_hop_scenario(4, seed=0, horizon=5000)
+        never = np.zeros((5000, 4), dtype=bool)  # the unstable loops 2 and 3 run open loop
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=r"loops \[2, 3\]"):
+            run(sc, tables, theta=0.8, force_delta=never)
 
     def test_missing_table_is_reported(self):
         sc = make_two_hop_scenario(2, seed=0, horizon=1000)

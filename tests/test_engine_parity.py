@@ -61,7 +61,15 @@ def test_congestion_sweep_points(tables, L):
 
 def test_starving_loops_at_low_theta(tables):
     m = assert_parity(make_two_hop_scenario(44, seed=3, horizon=2000), tables, theta=0.05)
-    assert np.any(m.delivered == 0)  # the regime where loops starve
+    starved = m.delivered == 0
+    assert np.any(starved)  # the regime where loops starve
+    # a loop that delivered nothing has no delay, and class means leave it out
+    delay = m.delay_per_loop
+    assert np.all(np.isnan(delay[starved])) and np.all(np.isfinite(delay[~starved]))
+    means = m.class_means(delay)
+    assert np.all(starved[:22]) and not np.any(starved[22:])  # the stable class starves
+    assert np.isnan(means["stable"])
+    assert means["unstable"] == means["all"] == delay[~starved].mean()
 
 
 def test_forced_delta_with_recorded_traces(tables):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engine_oracle
+from engine_oracle import differential_backlog
 from ncsim.network import (ActionSet, BufferSet, Packet, RateContractError,
-                           Topology, assign_flow, differential_backlog,
-                           lindley_step, pick_max_weight, stability_diagnostic,
-                           transmit, wsr_schedule)
+                           Topology, assign_flow, lindley_step,
+                           pick_max_weight, stability_diagnostic, transmit,
+                           wsr_schedule)
 
 
 def line_topology():
@@ -53,19 +54,19 @@ class TestCcAdmit:
     def test_single_packet_pass_through(self):
         buffers = BufferSet(line_topology())
         buffers.cc_push(Packet(0, 0, 1.5))
-        assert buffers.cc_admit(0, slot=3) == 1
+        assert buffers.cc_admit(0) == 1
         assert buffers.cc_backlog(0) == 0
         assert buffers.tx_backlog("s0", 0) == 1
 
     def test_empty_admits_nothing(self):
         buffers = BufferSet(line_topology())
-        assert buffers.cc_admit(0, slot=0) == 0
+        assert buffers.cc_admit(0) == 0
 
     def test_whole_backlog_admitted(self):
         buffers = BufferSet(line_topology())
         for k in range(3):
             buffers.cc_push(Packet(0, k, 0.0))
-        assert buffers.cc_admit(0, slot=0) == 3
+        assert buffers.cc_admit(0) == 3
         assert buffers.tx_backlog("s0", 0) == 3
 
 
@@ -214,7 +215,7 @@ class TestTransmit:
         buffers = BufferSet(line_topology())
         for k in range(2):
             buffers.cc_push(Packet(0, k, float(k)))
-        buffers.cc_admit(0, slot=0)
+        buffers.cc_admit(0)
         return buffers
 
     def test_fifo_pop_respects_rate(self):
@@ -224,7 +225,8 @@ class TestTransmit:
         assert buffers.tx_backlog("s0", 0) == 1
         assert buffers.tx_backlog("r", 0) == 1
         # the moved packet is the oldest one
-        assert buffers.tx[("r", 0)][0][1].birth_step == 0
+        delivered = transmit(buffers, [(("r", "d0"), 0, 1)], slot=1)
+        assert [p.birth_step for _, p in delivered] == [0]
 
     def test_empty_buffer_no_movement(self):
         buffers = BufferSet(line_topology())
@@ -243,7 +245,7 @@ class TestTransmit:
         transmit(buffers, [(("s0", "r"), 0, 2)], slot=0)
         delivered = transmit(buffers, [(("r", "d0"), 0, 2)], slot=1)
         assert len(delivered) == 2
-        assert ("d0", 0) not in buffers.tx  # target buffers do not exist
+        assert buffers.tx_backlog("d0", 0) == 0  # target buffers do not exist
 
     def test_rate_contract_violation(self):
         buffers = self.setup_buffers()
@@ -254,10 +256,76 @@ class TestTransmit:
     def test_source_admission_same_slot_allowed(self):
         buffers = BufferSet(line_topology())
         buffers.cc_push(Packet(0, 0, 0.0))
-        buffers.cc_admit(0, slot=9)
+        buffers.cc_admit(0)
         delivered = transmit(buffers, [(("s0", "r"), 0, 1)], slot=9)
         assert delivered == []
         assert buffers.tx_backlog("r", 0) == 1
+
+
+def relay_topology(hops: list) -> Topology:
+    """Loop i runs s_i -> r1 -> r2 -> d_i cut to hops[i] links (1 to 3)."""
+    paths = {}
+    for i, h in enumerate(hops):
+        nodes = [f"s{i}", "r1", "r2"][:h] + [f"d{i}"]
+        paths[i] = tuple(zip(nodes, nodes[1:]))
+    return Topology(nodes=frozenset(n for path in paths.values() for link in path for n in link),
+                    links=frozenset(link for path in paths.values() for link in path),
+                    paths=paths, src={i: path[0][0] for i, path in paths.items()},
+                    dst={i: path[-1][1] for i, path in paths.items()})
+
+
+assignment_lists = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3)),
+                            max_size=4)  # (hop, loop, rate), hop and loop wrapped to the topology
+slot_rounds = st.lists(st.tuples(
+    st.lists(st.integers(0, 3), max_size=4),              # loops that push one packet each
+    st.lists(st.integers(0, 3), max_size=3),              # loops whose CC buffer is admitted
+    st.lists(assignment_lists, min_size=1, max_size=3),   # transmit calls within the slot
+), max_size=12)
+
+
+class TestCountsTransport:
+    @settings(max_examples=300, deadline=None)
+    @given(hops=st.lists(st.integers(1, 3), min_size=1, max_size=4), rounds=slot_rounds)
+    def test_matches_deque_transport(self, hops, rounds):
+        """Same deliveries, backlogs and residents as the deque buffers after
+        every call, and diff rows equal to [B_p - B_p+1]+ of their lengths."""
+        topo = relay_topology(hops)
+        new, old = BufferSet(topo), engine_oracle.BufferSet(topo)
+
+        def assert_same_state():
+            assert new.resident() == old.resident()
+            lengths = []
+            for i, h in enumerate(hops):
+                assert new.cc_backlog(i) == old.cc_backlog(i)
+                for node in topo.path_nodes(i) + (topo.dst[i],):
+                    assert new.tx_backlog(node, i) == old.tx_backlog(node, i)
+                lengths.append([old.tx_backlog(node, i) for node in topo.path_nodes(i)]
+                               + [0] * (4 - h))
+            for p, row in enumerate(new.diff):
+                assert row == [differential_backlog(q[p], q[p + 1]) for q in lengths]
+
+        births = 0
+        for slot, (pushes, admits, calls) in enumerate(rounds):
+            for loop in pushes:
+                loop %= len(hops)
+                new.cc_push(Packet(loop, births, float(births)))
+                old.cc_push(engine_oracle.Packet(loop, births, float(births)))
+                births += 1
+                assert_same_state()
+            for loop in admits:
+                loop %= len(hops)
+                assert new.cc_admit(loop) == old.cc_admit(loop, slot)
+                assert_same_state()
+            for call in calls:
+                assignments = []
+                for p, loop, rate in call:
+                    loop %= len(hops)
+                    assignments.append((topo.paths[loop][p % hops[loop]], loop, rate))
+                got = transmit(new, assignments, slot)
+                want = engine_oracle.transmit(old, assignments, slot)
+                assert ([(i, pk.birth_step, pk.payload) for i, pk in got]
+                        == [(i, pk.birth_step, pk.payload) for i, pk in want])
+                assert_same_state()
 
 
 class TestStabilityDiagnostic:
