@@ -9,6 +9,7 @@ header ``L,class,mean,ci95_halfwidth,replications`` plus a combined
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import zlib
@@ -51,8 +52,10 @@ class RunConfig:
             raise ConfigError("horizon: must be at least 1000")
         if self.replications < 1:
             raise ConfigError("replications: must be at least 1")
-        if self.theta <= 0:
-            raise ConfigError("theta: must be positive")
+        if not 0 < self.theta < math.inf:
+            raise ConfigError(f"theta: must be positive and finite, got {self.theta}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be a non-negative integer, got {self.seed}")
         if not self.L_values:
             raise ConfigError("L: list must not be empty")
         for L in self.L_values:

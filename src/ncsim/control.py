@@ -14,13 +14,14 @@ so the achievable cost floor with perfect state knowledge is Tr(P Z).
 
 The estimator is model based: it coasts on (A - B K) between packet
 deliveries, snaps to the delivered sample, and replays the inputs it
-applied since the sample was taken when the delivery arrives late.
+applied since the sample was taken when the delivery arrives late.  The
+per-period plant, estimator and error updates of scalar loops run inline in
+`engine.run`; the late-delivery replay is `estimator_deliver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -59,8 +60,8 @@ class PlantSpec:
     """Parameters of one LTI loop and its quadratic cost.
 
     A: system matrix (n x n), B: input matrix (n x m), Z: noise covariance,
-    Qx/Qu: state/input cost weights, period: control period in seconds,
-    weight: this loop's weight in the network-wide cost.
+    Qx/Qu: state/input cost weights, weight: this loop's weight in the
+    network-wide cost.
     """
 
     A: np.ndarray
@@ -68,7 +69,6 @@ class PlantSpec:
     Z: np.ndarray
     Qx: np.ndarray
     Qu: np.ndarray
-    period: float = 1.0
     weight: float = 1.0
 
     def __post_init__(self):
@@ -92,14 +92,8 @@ class PlantSpec:
         _check_sym_psd(self.Z, "Z")
         _check_sym_psd(self.Qx, "Qx")
         _check_sym_psd(self.Qu, "Qu")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
     @property
     def is_scalar(self) -> bool:
@@ -154,60 +148,22 @@ def design_lqg(spec: PlantSpec) -> LqgSolution:
     return compute_gain(solve_riccati(spec), spec)
 
 
-def plant_step(x: np.ndarray, u: np.ndarray, w: np.ndarray,
-               spec: PlantSpec) -> np.ndarray:
-    """One step of the open plant: x+ = A x + B u + w."""
-    return spec.A @ x + spec.B @ u + w
-
-
-def control_input(xhat: np.ndarray, sol: LqgSolution) -> np.ndarray:
-    """Certainty-equivalence input u = -K xhat."""
-    return -(sol.K @ xhat)
-
-
-def estimator_predict(xhat: np.ndarray, sol: LqgSolution,
-                      spec: PlantSpec) -> np.ndarray:
-    """No-delivery estimator update: xhat+ = (A - B K) xhat."""
-    return (spec.A - spec.B @ sol.K) @ xhat
-
-
-def estimator_deliver(x_sampled: np.ndarray, birth_step: int, current_step: int,
-                      applied_inputs: Sequence[np.ndarray],
-                      spec: PlantSpec) -> np.ndarray:
-    """Estimate at `current_step` from a sample taken at `birth_step`.
+def estimator_deliver(a: float, b: float, powers: np.ndarray, x_sampled: float,
+                      inputs: np.ndarray) -> float:
+    """Estimate now from a sample delayed by d = len(inputs) steps.
 
     Zero delay returns the sample itself; otherwise the sample is rolled
-    forward open loop through the inputs the controller actually applied:
-    xhat = A^d x + sum_j A^(d-1-j) B u_j over the delayed steps.
+    forward open loop through the inputs the controller actually applied,
+    in closed form: a^d x + sum_j a^(d-1-j) b u_j.  `powers` ends in
+    a^(d-1), ..., a^0, and the dot-product form keeps long replays (heavily
+    congested runs) from dominating the runtime.
     """
-    delay = current_step - birth_step
-    if delay < 0:
-        raise ReplayError(f"delivery from the future: born {birth_step}, now {current_step}")
-    if len(applied_inputs) < delay:
-        raise ReplayError(
-            f"need {delay} inputs to replay steps {birth_step}..{current_step - 1}, "
-            f"have {len(applied_inputs)}"
-        )
-    z = np.atleast_1d(np.asarray(x_sampled, dtype=float))
-    for j in range(delay):
-        u = np.atleast_1d(np.asarray(applied_inputs[j], dtype=float))
-        z = spec.A @ z + spec.B @ u
-    return z
-
-
-def error_step(e: np.ndarray, delta: int, w: np.ndarray,
-               spec: PlantSpec) -> np.ndarray:
-    """Sampler-side one-step-ahead error: e+ = (1 - delta) A e + w."""
-    if delta:
-        return np.asarray(w, dtype=float).copy()
-    return spec.A @ e + w
-
-
-def stage_cost(x: np.ndarray, u: np.ndarray, spec: PlantSpec) -> float:
-    """Per-step quadratic cost x'Qx x + u'Qu u."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return float(x @ spec.Qx @ x + u @ spec.Qu @ u)
+    d = len(inputs)
+    if d == 0:
+        return x_sampled
+    if d == 1:
+        return a * x_sampled + b * inputs[0]
+    return (a ** d) * x_sampled + b * float(powers[-d:] @ inputs)
 
 
 class InputLog:

@@ -21,7 +21,6 @@ cost-floor plateau at light load.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
@@ -29,15 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import InputLog, PlantSpec, design_lqg
-from .network import (ActionSet, BufferSet, ConstantLinkState, Packet,
-                      Topology, pick_max_weight, stability_diagnostic,
-                      transmit)
-from .sampler import ViConfig, build_table, default_lambda_grid, plant_class_id
+from .control import InputLog, PlantSpec, design_lqg, estimator_deliver
+from .network import (BufferSet, Packet, Topology, pick_max_weight,
+                      stability_diagnostic, transmit)
+from .sampler import plant_class_id
 
 STABLE_A = 0.75
 UNSTABLE_A = 1.25
 CLASS_LABELS = {STABLE_A: "stable", UNSTABLE_A: "unstable"}
+SLOTS_PER_STEP = 10  # network slots per control period in the two-hop scenario
+WARMUP_FRAC = 0.1  # leading share of every run left out of the metrics
 
 _TIE_STREAM = 1_000_003  # reserved seed-sequence key for scheduler tie-breaks
 
@@ -62,9 +62,7 @@ class Scenario:
     plants: list
     class_labels: list
     topology: Topology
-    action_set: ActionSet
     hop_groups: list
-    link_state: ConstantLinkState
     slots_per_step: int
     horizon: int
     seed: int
@@ -90,31 +88,7 @@ class Scenario:
                                      f"must be an integer >= 1, got {value!r}")
 
 
-class _TwoHopActions:
-    """Lazy enumeration of joint actions: pick <= cap loops per hop."""
-
-    def __init__(self, uplinks, downlinks, cap: int):
-        self.uplinks = tuple(uplinks)
-        self.downlinks = tuple(downlinks)
-        self.cap = cap
-
-    def _subsets(self, links):
-        for size in range(self.cap + 1):
-            yield from itertools.combinations(range(len(links)), size)
-
-    def __iter__(self):
-        for up in self._subsets(self.uplinks):
-            for down in self._subsets(self.downlinks):
-                yield (up, down)
-
-    def __len__(self):
-        def count(n):
-            return sum(math.comb(n, size) for size in range(self.cap + 1))
-        return count(len(self.uplinks)) * count(len(self.downlinks))
-
-
-def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000,
-                          slots_per_step: int = 10) -> Scenario:
+def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000) -> Scenario:
     """Desk-scale cellular setup: L/2 stable and L/2 unstable scalar loops.
 
     Every loop's path is source -> base station -> sink; the uplink and
@@ -140,33 +114,10 @@ def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000,
         src={i: f"src{i}" for i in range(L)},
         dst={i: f"dst{i}" for i in range(L)},
     )
-
-    def rate_fn(link_state, action):
-        up, down = action
-        rates = {uplinks[i]: 1 for i in up}
-        rates.update({downlinks[i]: 1 for i in down})
-        return rates
-
-    action_set = ActionSet(actions=_TwoHopActions(uplinks, downlinks, cap=2),
-                           rate_fn=rate_fn)
     hop_groups = [HopGroup(position=0, capacity=2), HopGroup(position=1, capacity=2)]
     return Scenario(plants=plants, class_labels=labels, topology=topology,
-                    action_set=action_set, hop_groups=hop_groups,
-                    link_state=ConstantLinkState(), slots_per_step=slots_per_step,
+                    hop_groups=hop_groups, slots_per_step=SLOTS_PER_STEP,
                     horizon=horizon, seed=seed)
-
-
-def build_scenario_tables(scenario: Scenario, cfg: ViConfig = ViConfig(),
-                          lambda_grid=None) -> dict:
-    """Threshold table per distinct plant class in the scenario."""
-    grid = default_lambda_grid() if lambda_grid is None else lambda_grid
-    tables = {}
-    for spec in scenario.plants:
-        sol = design_lqg(spec)
-        cid = plant_class_id(spec, sol)
-        if cid not in tables:
-            tables[cid] = build_table(grid, spec, sol, cfg)
-    return tables
 
 
 @dataclass
@@ -224,39 +175,25 @@ def _loop_rng_seed(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, key]))
 
 
-def _replay_scalar(a: float, b: float, powers: np.ndarray, x_sampled: float,
-                   inputs: np.ndarray) -> float:
-    """Closed-form scalar delivery replay: a^d x + sum_j a^(d-1-j) b u_j.
-
-    Matches control.estimator_deliver; `powers` ends in a^(d-1), ..., a^0,
-    and the dot-product form keeps long replays (heavily congested runs)
-    from dominating the runtime.
-    """
-    d = len(inputs)
-    if d == 0:
-        return x_sampled
-    if d == 1:
-        return a * x_sampled + b * inputs[0]
-    return (a ** d) * x_sampled + b * float(powers[-d:] @ inputs)
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def run(scenario: Scenario, tables: dict, theta: float = 1.0,
-        warmup_frac: float = 0.1, force_delta: np.ndarray | None = None,
-        record_errors: bool = False, check_conservation: bool = False) -> RunMetrics:
+        force_delta: np.ndarray | None = None, record_errors: bool = False,
+        check_conservation: bool = False) -> RunMetrics:
     """Simulate one seeded scenario and collect metrics.
 
     `tables` maps plant class ids to ThresholdTable.  `force_delta`, when
     given as a (horizon, L) boolean array, overrides the threshold sampler
     (used by oracle tests).  Raises NonFiniteError, naming the loops, if a
-    plant state or cost overflowed.
+    plant state or cost overflowed; NumPy's overflow and invalid-value
+    warnings are silenced for the run, since that error reports them.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta!r}")
     plants = scenario.plants
     L = len(plants)
     horizon = scenario.horizon
     spst = scenario.slots_per_step
-    warmup = int(horizon * warmup_frac)
+    warmup = int(horizon * WARMUP_FRAC)
 
     a = np.array([p.A[0, 0] for p in plants])
     b = np.array([p.B[0, 0] for p in plants])
@@ -288,10 +225,9 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     cid_index = {cid: np.array([i for i, c in enumerate(class_ids) if c == cid])
                  for cid in unique_cids}
 
-    # per plant class a^j for j = horizon-1 .. 0, sliced by _replay_scalar; a
-    # power past the float range is inf and read only by a replay that deep
-    with np.errstate(over="ignore"):
-        rows = {ai: ai ** np.arange(horizon - 1, -1, -1, dtype=float) for ai in set(a.tolist())}
+    # per plant class a^j for j = horizon-1 .. 0, sliced by estimator_deliver;
+    # a power past the float range is inf and read only by a replay that deep
+    rows = {ai: ai ** np.arange(horizon - 1, -1, -1, dtype=float) for ai in set(a.tolist())}
     powers = [rows[ai] for ai in a.tolist()]
 
     x = np.zeros(L)
@@ -341,7 +277,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                     _, birth, payload = newest[i]
                     if birth > last_applied[i]:
                         inputs = input_log.window(i, birth, m - 1)
-                        xhat[i] = _replay_scalar(a[i], b[i], powers[i], payload, inputs)
+                        xhat[i] = estimator_deliver(a[i], b[i], powers[i], payload, inputs)
                         last_applied[i] = birth
                         input_log.prune(i, birth)
                         (fresh if birth == m - 1 else late).append(i)
@@ -467,9 +403,8 @@ METRIC_NAMES = ("rate", "backlog", "delay", "cost")
 
 
 def _one_sweep_task(args):
-    master_seed, L, rep, horizon, theta, tables, slots_per_step = args
-    scenario = make_two_hop_scenario(L, seed=run_seed(master_seed, L, rep),
-                                     horizon=horizon, slots_per_step=slots_per_step)
+    master_seed, L, rep, horizon, theta, tables = args
+    scenario = make_two_hop_scenario(L, seed=run_seed(master_seed, L, rep), horizon=horizon)
     metrics = run(scenario, tables, theta=theta)
     per_metric = {
         "rate": metrics.class_means(metrics.rate_per_loop),
@@ -481,13 +416,13 @@ def _one_sweep_task(args):
 
 
 def sweep(L_values, replications: int, master_seed: int, tables: dict,
-          horizon: int = 10_000, theta: float = 1.0, slots_per_step: int = 10,
-          workers: int = 1, progress=None) -> SweepResult:
+          horizon: int = 10_000, theta: float = 1.0, workers: int = 1,
+          progress=None) -> SweepResult:
     """Independent seeded runs for every (L, replication), then normal CIs."""
     if replications < 1:
         raise ValueError("need at least one replication")
     L_values = list(L_values)
-    tasks = [(master_seed, L, rep, horizon, theta, tables, slots_per_step)
+    tasks = [(master_seed, L, rep, horizon, theta, tables)
              for L in L_values for rep in range(replications)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

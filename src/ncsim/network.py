@@ -124,13 +124,6 @@ class BufferSet:
         return sum(map(len, self.packets))
 
 
-def lindley_step(y: float, r: float, mu: float) -> float:
-    """Queue recursion y+ = max(y + arrivals - service, 0)."""
-    if y < 0 or r < 0 or mu < 0:
-        raise ValueError("backlog, arrivals and service must be non-negative")
-    return max(y + r - mu, 0.0)
-
-
 def assign_flow(weights: Mapping, rng: np.random.Generator):
     """Loop that wins a link: argmax weight, uniform among ties, None if all zero."""
     best = None
@@ -205,9 +198,6 @@ class ActionSet:
 
     actions: Iterable
     rate_fn: Callable  # (link_state, action) -> {link: rate}
-
-    def rates(self, link_state, action) -> Mapping:
-        return self.rate_fn(link_state, action)
 
 
 @dataclass(frozen=True)
@@ -312,13 +302,3 @@ def stability_diagnostic(trace: Sequence[float]) -> BacklogDiagnostic:
         diverging = second > 2.0 * first and second > 0.0
     return BacklogDiagnostic(mean=mean, diverging=diverging)
 
-
-@dataclass(frozen=True)
-class ConstantLinkState:
-    """Stationary link-state process with a fixed quality for every link."""
-
-    quality: float = 1.0
-    constant: bool = True
-
-    def sample(self, rng: np.random.Generator, slot: int) -> float:
-        return self.quality

@@ -18,7 +18,9 @@ published curves; this timing reproduces them to within ~2%.)
 
 Online, the price is the scaled backlog of the loop's source MAC buffer,
 lambda = theta * B, so a congested source raises the threshold and throttles
-its own loop.  Tables map a price grid to thresholds and interpolate.
+its own loop.  Tables map a price grid to thresholds and interpolate; the
+decision |e| > M(theta * B) itself is made for all loops at once in
+`engine.run`.
 """
 
 from __future__ import annotations
@@ -108,13 +110,8 @@ class ThresholdTable:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "thresholds", thr)
 
-    def lookup(self, lam: float) -> float:
-        """Piecewise-linear interpolation, clamped to the last knot above the grid."""
-        if lam < 0:
-            raise ValueError("price must be non-negative")
-        return float(np.interp(lam, self.lambdas, self.thresholds))
-
     def lookup_many(self, lam: np.ndarray) -> np.ndarray:
+        """Piecewise-linear interpolation, clamped to the last knot above the grid."""
         return np.interp(lam, self.lambdas, self.thresholds)
 
     def save(self, path) -> None:
@@ -149,30 +146,6 @@ class ThresholdTable:
                 lams.append(float(a))
                 thrs.append(float(b))
         return cls(lambdas=np.array(lams), thresholds=np.array(thrs), class_id=class_id)
-
-
-@dataclass
-class SamplerState:
-    """Online sampler: price scale theta and the precomputed table."""
-
-    theta: float
-    table: ThresholdTable
-
-    def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-
-
-def lookup(table: ThresholdTable, lam: float) -> float:
-    return table.lookup(lam)
-
-
-def sampling_decision(e, backlog: float, sampler: SamplerState) -> bool:
-    """Transmit iff ||e||_2 exceeds the threshold at price theta * backlog."""
-    if backlog < 0:
-        raise ValueError("backlog must be non-negative")
-    m = sampler.table.lookup(sampler.theta * backlog)
-    return bool(np.linalg.norm(np.atleast_1d(e)) > m)
 
 
 class _ErrorGridMdp:

@@ -55,6 +55,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="L"):
             parse_config(["--L", "2,3"])
 
+    def test_non_finite_theta_names_field(self):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match="theta"):
+                parse_config([f"--theta={value}"])
+
+    def test_negative_seed_names_field(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(["--seed", "-1"])
+
     def test_vi_override(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("vi_quad=16\nvi_e_step=0.1\n")
@@ -120,6 +129,17 @@ class TestRunExperiment:
 
     def test_config_error_exit_code(self):
         assert main(["--replications", "0"]) == EXIT_CONFIG_ERROR
+
+    def test_invalid_theta_or_seed_exits_before_tables(self, tmp_path, monkeypatch, capsys):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("tables built for an invalid config")
+        monkeypatch.setattr(cli, "load_or_build_tables", no_tables)
+        for flag, value in (("--theta", "nan"), ("--theta", "inf"), ("--seed", "-1")):
+            rc = main(["--L", "2", "--horizon", "1000", "--replications", "1",
+                       "--out", str(tmp_path / "out"), flag, value])
+            assert rc == EXIT_CONFIG_ERROR
+            assert flag[2:] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_run_exit_code(self, tmp_path, monkeypatch, capsys):
         def overflowing_sweep(*args, **kwargs):

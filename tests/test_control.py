@@ -1,4 +1,4 @@
-"""LQG design, plant/estimator/error dynamics."""
+"""LQG design, per-period dynamics as the engine runs them, delayed-delivery replay."""
 
 import math
 
@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsim.control import (InputLog, PlantSpec, ReplayError,
-                           RiccatiDivergenceError, compute_gain, control_input,
-                           design_lqg, error_step, estimator_deliver,
-                           estimator_predict, plant_step, solve_riccati,
-                           stage_cost)
+                           RiccatiDivergenceError, compute_gain, design_lqg,
+                           estimator_deliver, solve_riccati)
+from ncsim.engine import WARMUP_FRAC, make_two_hop_scenario, run
+from ncsim.sampler import ThresholdTable, plant_class_id
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -85,84 +85,84 @@ class TestGain:
         assert sol.floor_cost == pytest.approx(float(np.trace(sol.P @ spec.Z)))
 
 
+def forced_run(L, horizon, always):
+    """engine.run on the two-hop scenario with every sampling decision forced."""
+    sc = make_two_hop_scenario(L, seed=17, horizon=horizon)
+    tables = {}
+    for p in sc.plants:
+        cid = plant_class_id(p, design_lqg(p))
+        tables[cid] = ThresholdTable(np.zeros(1), np.zeros(1), cid)
+    force = np.full((horizon, L), always)
+    return sc, run(sc, tables, force_delta=force, record_errors=True)
+
+
 class TestDynamics:
-    def test_plant_step_direct(self):
-        spec = scalar_spec(0.75)
-        out = plant_step(np.array([2.0]), np.array([-1.5]), np.array([0.3]), spec)
-        assert out[0] == pytest.approx(0.3)
-
-    def test_plant_step_identity(self):
-        spec = scalar_spec(1.0)
-        x = np.array([4.2])
-        assert plant_step(x, np.array([0.0]), np.array([0.0]), spec)[0] == x[0]
-
-    def test_plant_step_noise_passthrough(self):
-        spec = scalar_spec(0.75)
-        assert plant_step(np.zeros(1), np.zeros(1), np.array([0.7]), spec)[0] == 0.7
-
-    def test_control_input(self):
-        sol = design_lqg(scalar_spec(0.75))
-        assert control_input(np.array([2.0]), sol)[0] == pytest.approx(-1.5)
-        assert control_input(np.zeros(1), sol)[0] == 0.0
-        sol_u = design_lqg(scalar_spec(1.25))
-        assert control_input(np.array([-1.0]), sol_u)[0] == pytest.approx(1.25)
-
-    def test_estimator_predict_deadbeat_collapses(self):
-        spec = scalar_spec(0.75)
-        sol = design_lqg(spec)
-        assert estimator_predict(np.array([3.3]), sol, spec)[0] == pytest.approx(0.0)
-
-    def test_estimator_predict_golden(self):
-        spec = scalar_spec(1.0, qx=1.0, qu=1.0)
-        sol = design_lqg(spec)
-        out = estimator_predict(np.array([1.0]), sol, spec)
-        assert out[0] == pytest.approx(1 - GOLDEN / (1 + GOLDEN), abs=1e-9)
-
-    def test_estimator_predict_zero(self):
-        spec = scalar_spec(1.25)
-        sol = design_lqg(spec)
-        assert estimator_predict(np.zeros(1), sol, spec)[0] == 0.0
-
-    def test_error_step(self):
-        spec = scalar_spec(1.25)
-        assert error_step(np.array([7.0]), 1, np.array([-0.2]), spec)[0] == -0.2
-        assert error_step(np.array([2.0]), 0, np.array([-0.5]), spec)[0] == pytest.approx(2.0)
-        assert error_step(np.zeros(1), 0, np.zeros(1), spec)[0] == 0.0
+    """The engine's per-period plant, control and stage-cost updates against a scalar replay."""
 
     def test_stage_cost(self):
-        spec = scalar_spec(0.75)
-        assert stage_cost(np.array([2.0]), np.array([9.9]), spec) == pytest.approx(4.0)
-        assert stage_cost(np.zeros(1), np.zeros(1), spec) == 0.0
-        spec2 = scalar_spec(1.0, qx=1.0, qu=1.0)
-        assert stage_cost(np.ones(1), np.ones(1), spec2) == pytest.approx(2.0)
+        # never transmitting leaves the estimate at 0, so u = 0 and x+ = a x + w
+        sc, m = forced_run(2, 400, always=False)
+        warmup = int(400 * WARMUP_FRAC)
+        for i, spec in enumerate(sc.plants):
+            a, qx = spec.A[0, 0], spec.Qx[0, 0]
+            x = cost = 0.0
+            for k in range(399):
+                if k >= warmup:
+                    cost += qx * x * x
+                x = a * x + m.noise[k, i]
+            assert m.cost_sum[i] == cost
+
+    def test_control_input(self):
+        # at L=2 every sample arrives within its own period: u = -K x exactly
+        sc, m = forced_run(2, 400, always=True)
+        assert m.delay_sum.sum() == 0 and m.delivered.sum() > 0
+        warmup = int(400 * WARMUP_FRAC)
+        for i, spec in enumerate(sc.plants):
+            a, b, qx, qu = (spec.A[0, 0], spec.B[0, 0], spec.Qx[0, 0], spec.Qu[0, 0])
+            k_gain = design_lqg(spec).K[0, 0]
+            x = cost = 0.0
+            for k in range(399):
+                u = -k_gain * x
+                if k >= warmup:
+                    cost += qx * x * x + qu * u * u
+                x = a * x + b * u + m.noise[k, i]
+            assert m.cost_sum[i] == cost
+
+
+def powers(a, horizon=64):
+    """a^j for j = horizon-1 .. 0, the row the engine slices for estimator_deliver."""
+    return a ** np.arange(horizon - 1, -1, -1, dtype=float)
 
 
 class TestEstimatorDeliver:
     def test_zero_delay_is_assignment(self):
-        spec = scalar_spec(1.25)
-        out = estimator_deliver(np.array([3.2]), 5, 5, [], spec)
-        assert out[0] == 3.2
+        assert estimator_deliver(1.25, 1.0, powers(1.25), 3.2, np.zeros(0)) == 3.2
 
     def test_one_step_replay(self):
-        spec = scalar_spec(1.25)
-        out = estimator_deliver(np.array([1.0]), 3, 4, [np.array([-0.5])], spec)
-        assert out[0] == pytest.approx(0.75)
+        out = estimator_deliver(1.25, 1.0, powers(1.25), 1.0, np.array([-0.5]))
+        assert out == pytest.approx(0.75)
 
     def test_zero_state_zero_inputs(self):
-        spec = scalar_spec(1.25)
-        out = estimator_deliver(np.zeros(1), 0, 6, [np.zeros(1)] * 6, spec)
-        assert out[0] == 0.0
+        assert estimator_deliver(1.25, 1.0, powers(1.25), 0.0, np.zeros(6)) == 0.0
 
     def test_delay_d_with_zero_inputs_is_power(self):
-        spec = scalar_spec(1.25)
         for d in (1, 2, 5):
-            out = estimator_deliver(np.array([2.0]), 0, d, [np.zeros(1)] * d, spec)
-            assert out[0] == pytest.approx(2.0 * 1.25 ** d)
+            out = estimator_deliver(1.25, 1.0, powers(1.25), 2.0, np.zeros(d))
+            assert out == pytest.approx(2.0 * 1.25 ** d)
 
-    def test_short_history_raises(self):
-        spec = scalar_spec(1.25)
-        with pytest.raises(ReplayError):
-            estimator_deliver(np.array([1.0]), 0, 4, [np.zeros(1)] * 2, spec)
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.75, 1.25]), st.floats(-2.0, 2.0), st.floats(-100.0, 100.0),
+       st.lists(st.floats(-100.0, 100.0), max_size=60))
+def test_estimator_deliver_matches_step_by_step_replay(a, b, x, inputs):
+    """The closed form equals rolling the sample forward z = a*z + b*u, input by input."""
+    z = x
+    scale = abs(x)  # the largest magnitude the sum passes through bounds its rounding
+    for u in inputs:
+        z = a * z + b * u
+        scale = a * scale + abs(b * u)
+    got = estimator_deliver(a, b, powers(a), x, np.array(inputs))
+    assert abs(got - z) <= 1e-9 * scale
 
 
 class TestInputLog:
@@ -190,25 +190,6 @@ class TestInputLog:
         log.record(0, 1.0)
         with pytest.raises(ValueError):
             log.record(2, 1.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.booleans(), min_size=1, max_size=60), st.integers(0, 2**32 - 1))
-def test_error_recursion_matches_independent_replay(deltas, seed):
-    """Forced decision sequence: simulated errors equal the bare recursion."""
-    spec = scalar_spec(1.25)
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(size=len(deltas))
-    e = np.zeros(1)
-    trace = []
-    for delta, w in zip(deltas, noise):
-        e = error_step(e, int(delta), np.array([w]), spec)
-        trace.append(e[0])
-    # independent replay, same arithmetic order
-    ref = 0.0
-    for (delta, w, got) in zip(deltas, noise, trace):
-        ref = (1 - int(delta)) * 1.25 * ref + w
-        assert got == ref
 
 
 def test_always_transmit_cost_converges_to_floor():

@@ -1,22 +1,38 @@
 """Co-simulation engine: scenario generator, run loop, sweep aggregation."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncsim.cli import RunConfig, load_or_build_tables
 from ncsim.control import PlantSpec, design_lqg
 from ncsim.engine import (HopGroup, NonFiniteError, Scenario,
-                          build_scenario_tables, make_two_hop_scenario, run,
-                          run_seed, sweep)
-from ncsim.network import (ActionSet, ConstantLinkState, Topology,
-                           pick_max_weight, wsr_schedule)
+                          make_two_hop_scenario, run, run_seed, sweep)
+from ncsim.network import ActionSet, Topology, pick_max_weight, wsr_schedule
 from ncsim.sampler import ThresholdTable, plant_class_id
 
 
 @pytest.fixture(scope="module")
 def tables():
-    return build_scenario_tables(make_two_hop_scenario(2, seed=0, horizon=1000))
+    return load_or_build_tables(RunConfig(L_values=(2,)), log=lambda *a: None)
+
+
+def two_hop_action_set(sc):
+    """The WSR oracle's joint actions: per hop up to its group's capacity of unit-rate links."""
+    hops = [[sc.topology.paths[i][g.position] for i in range(len(sc.plants))]
+            for g in sc.hop_groups]
+    choices = [[c for size in range(g.capacity + 1)
+                for c in itertools.combinations(range(len(links)), size)]
+               for g, links in zip(sc.hop_groups, hops)]
+
+    def rate_fn(link_state, action):
+        return {hops[h][i]: 1 for h, picked in enumerate(action) for i in picked}
+    return ActionSet(actions=list(itertools.product(*choices)), rate_fn=rate_fn)
 
 
 class TestScenarioGenerator:
@@ -32,11 +48,11 @@ class TestScenarioGenerator:
             make_two_hop_scenario(3, seed=0)
 
     def test_uplink_action_count_for_four_loops(self):
-        sc = make_two_hop_scenario(4, seed=0)
+        actions = two_hop_action_set(make_two_hop_scenario(4, seed=0)).actions
         per_hop = 1 + 4 + 6  # C(4,0)+C(4,1)+C(4,2)
         assert per_hop == 11
-        assert len(sc.action_set.actions) == per_hop * per_hop
-        uplink_choices = {a[0] for a in sc.action_set.actions}
+        assert len(actions) == per_hop * per_hop
+        uplink_choices = {a[0] for a in actions}
         assert len(uplink_choices) == 11
 
     def test_transmission_opportunities_per_period(self):
@@ -131,12 +147,9 @@ class TestRun:
         topo = Topology(nodes=frozenset(["s", "bs", "d"]),
                         links=frozenset(links),
                         paths={0: tuple(links)}, src={0: "s"}, dst={0: "d"})
-        sc = Scenario(
-            plants=[spec], class_labels=["stable"], topology=topo,
-            action_set=ActionSet(actions=[()], rate_fn=lambda q, a: {}),
-            hop_groups=[HopGroup(0, 2), HopGroup(1, 2)],
-            link_state=ConstantLinkState(), slots_per_step=10,
-            horizon=500, seed=1)
+        sc = Scenario(plants=[spec], class_labels=["stable"], topology=topo,
+                      hop_groups=[HopGroup(0, 2), HopGroup(1, 2)], slots_per_step=10,
+                      horizon=500, seed=1)
         table = ThresholdTable(lambdas=np.array([0.0, 1.0]),
                                thresholds=np.array([0.0, 0.0]), class_id=cid)
         m = run(sc, {cid: table})
@@ -161,16 +174,46 @@ class TestRun:
         for metric in ("rate_per_loop", "delay_per_loop", "cost_per_loop"):
             assert m1.class_means(getattr(m1, metric)) == m2.class_means(getattr(m2, metric))
 
+    @pytest.mark.filterwarnings("error")  # the error, not NumPy overflow warnings, reports it
     def test_overflow_is_an_error_naming_the_loops(self, tables):
         sc = make_two_hop_scenario(4, seed=0, horizon=5000)
         never = np.zeros((5000, 4), dtype=bool)  # the unstable loops 2 and 3 run open loop
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=r"loops \[2, 3\]"):
+        with pytest.raises(NonFiniteError, match=r"loops \[2, 3\]"):
             run(sc, tables, theta=0.8, force_delta=never)
+
+    def test_non_finite_theta_rejected(self, tables):
+        sc = make_two_hop_scenario(2, seed=0, horizon=1000)
+        for theta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="theta"):
+                run(sc, tables, theta=theta)
 
     def test_missing_table_is_reported(self):
         sc = make_two_hop_scenario(2, seed=0, horizon=1000)
         with pytest.raises(KeyError, match="threshold table"):
             run(sc, {})
+
+
+class TestRunProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.sampled_from([2, 4, 6]), theta=st.floats(0.01, 5.0),
+           horizon=st.integers(20, 300), slots=st.integers(1, 12),
+           forced=st.none() | st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_small_random_scenarios(self, tables, L, theta, horizon, slots, forced, seed):
+        """Conservation, FIFO births and finite metrics, or an explicit overflow error."""
+        sc = dataclasses.replace(make_two_hop_scenario(L, seed=seed, horizon=horizon),
+                                 slots_per_step=slots)
+        force = None
+        if forced is not None:
+            force = np.random.default_rng(seed).random((horizon, L)) < forced
+        try:
+            m = run(sc, tables, theta=theta, force_delta=force, check_conservation=True)
+        except NonFiniteError:
+            return
+        for births in m.delivered_births:
+            assert births == sorted(births)
+        for values in (m.rate_per_loop, m.backlog_per_loop, m.cost_per_loop):
+            assert np.all(np.isfinite(values))
+        assert np.array_equal(np.isnan(m.delay_per_loop), m.delivered == 0)
 
 
 class TestSchedulerFastPath:
@@ -179,6 +222,7 @@ class TestSchedulerFastPath:
         sc = make_two_hop_scenario(4, seed=0, horizon=1000)
         uplinks = [sc.topology.paths[i][0] for i in range(4)]
         downlinks = [sc.topology.paths[i][1] for i in range(4)]
+        action_set = two_hop_action_set(sc)
         rng = np.random.default_rng(21)
         for _ in range(60):
             src = rng.integers(0, 5, size=4)
@@ -187,8 +231,7 @@ class TestSchedulerFastPath:
             for i in range(4):
                 weights[uplinks[i]] = max(src[i] - mid[i], 0)
                 weights[downlinks[i]] = mid[i]
-            choice = wsr_schedule(None, weights, sc.action_set,
-                                  np.random.default_rng(0))
+            choice = wsr_schedule(None, weights, action_set, np.random.default_rng(0))
             total = 0.0
             for group, links in zip(sc.hop_groups, (uplinks, downlinks)):
                 hop = [weights[link] for link in links]

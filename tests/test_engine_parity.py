@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import engine_oracle
+from ncsim.cli import RunConfig, load_or_build_tables
 from ncsim.control import PlantSpec
-from ncsim.engine import (HopGroup, Scenario, build_scenario_tables,
-                          make_two_hop_scenario, run)
-from ncsim.network import ActionSet, ConstantLinkState, Topology
+from ncsim.engine import HopGroup, Scenario, make_two_hop_scenario, run
+from ncsim.network import Topology
 
 ARRAY_FIELDS = ("injected", "delivered", "delay_sum", "cost_sum", "backlog_sum",
                 "diverging", "error_trace", "delta_trace")
@@ -15,7 +15,7 @@ ARRAY_FIELDS = ("injected", "delivered", "delay_sum", "cost_sum", "backlog_sum",
 
 @pytest.fixture(scope="module")
 def tables():
-    return build_scenario_tables(make_two_hop_scenario(2, seed=0, horizon=1000))
+    return load_or_build_tables(RunConfig(L_values=(2,)), log=lambda *a: None)
 
 
 def assert_parity(scenario, tables, **options):
@@ -48,10 +48,8 @@ def mixed_scenario(n: int, horizon: int, seed: int) -> Scenario:
         links=frozenset(link for path in paths.values() for link in path),
         paths=paths, src=src, dst=dst)
     return Scenario(plants=plants, class_labels=labels, topology=topology,
-                    action_set=ActionSet(actions=[()], rate_fn=lambda q, a: {}),
                     hop_groups=[HopGroup(0, 3), HopGroup(1, 1), HopGroup(2, 2)],
-                    link_state=ConstantLinkState(), slots_per_step=10,
-                    horizon=horizon, seed=seed)
+                    slots_per_step=10, horizon=horizon, seed=seed)
 
 
 @pytest.mark.parametrize("L", [2, 4, 20, 44])

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 import engine_oracle
 from engine_oracle import differential_backlog
 from ncsim.network import (ActionSet, BufferSet, Packet, RateContractError,
-                           Topology, assign_flow, lindley_step,
-                           pick_max_weight, stability_diagnostic, transmit,
-                           wsr_schedule)
+                           Topology, assign_flow, pick_max_weight,
+                           stability_diagnostic, transmit, wsr_schedule)
 
 
 def line_topology():
@@ -70,20 +69,33 @@ class TestCcAdmit:
         assert buffers.tx_backlog("s0", 0) == 3
 
 
+def source_queue_after(y, r, mu):
+    """Loop 0's source queue and relay queue: y resident, r admitted, one slot serving mu."""
+    buffers = BufferSet(line_topology())
+    for count in (y, r):
+        for _ in range(count):
+            buffers.cc_push(Packet(0, 0, 0.0))
+        buffers.cc_admit(0)
+    transmit(buffers, [(("s0", "r"), 0, mu)], slot=0)
+    return buffers.tx_backlog("s0", 0), buffers.tx_backlog("r", 0)
+
+
 class TestLindley:
+    """BufferSet's source queue follows y+ = max(y + r - mu, 0)."""
+
     def test_service_exceeds_arrivals(self):
-        assert lindley_step(3, 2, 4) == 1
+        assert source_queue_after(3, 2, 4) == (1, 4)
 
     def test_clamped_at_zero(self):
-        assert lindley_step(0, 0, 5) == 0
+        assert source_queue_after(0, 0, 5) == (0, 0)
 
     def test_accumulates(self):
-        assert lindley_step(1, 1, 0) == 2
+        assert source_queue_after(1, 1, 0) == (2, 0)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.floats(0, 1e6), st.floats(0, 1e6), st.floats(0, 1e6))
+    @given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
     def test_never_negative(self, y, r, mu):
-        assert lindley_step(y, r, mu) >= 0
+        assert source_queue_after(y, r, mu) == (max(y + r - mu, 0), min(y + r, mu))
 
 
 class TestDifferentialBacklog:

@@ -1,13 +1,15 @@
-"""Threshold design: value iteration, tables, online decision."""
+"""Threshold design: value iteration, tables, the online decision as the engine makes it."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from ncsim.control import PlantSpec, design_lqg
-from ncsim.sampler import (SamplerState, ThresholdTable, ValueIterationError,
-                           ViConfig, build_table, default_lambda_grid,
-                           design_threshold, lookup, plant_class_id,
-                           sampling_decision)
+from ncsim.engine import make_two_hop_scenario, run
+from ncsim.sampler import (ThresholdTable, ValueIterationError, ViConfig,
+                           build_table, default_lambda_grid, design_threshold,
+                           plant_class_id)
 
 
 @pytest.fixture(scope="module")
@@ -87,56 +89,66 @@ class TestLookup:
                               class_id="toy")
 
     def test_linear_interpolation(self):
-        assert lookup(self.make_table(), 5.0) == pytest.approx(2.0)
+        assert self.make_table().lookup_many(np.array([5.0]))[0] == pytest.approx(2.0)
 
     def test_knot_exact(self):
-        assert lookup(self.make_table(), 10.0) == 4.0
+        assert self.make_table().lookup_many(np.array([10.0]))[0] == 4.0
 
     def test_clamp_beyond_grid(self):
-        assert lookup(self.make_table(), 1e6) == 4.0
+        assert self.make_table().lookup_many(np.array([1e6]))[0] == 4.0
 
-    def test_negative_price_rejected(self):
-        with pytest.raises(ValueError):
-            self.make_table().lookup(-0.1)
+
+def run_with_table(thresholds, L=2, z=1.0, theta=1.0, horizon=300):
+    """engine.run on the two-hop scenario, every class priced by one table over lambda 0, 1, 2."""
+    sc = make_two_hop_scenario(L, seed=3, horizon=horizon)
+    sc = dataclasses.replace(sc, plants=[dataclasses.replace(p, Z=z) for p in sc.plants])
+    tables = {}
+    for p in sc.plants:
+        cid = plant_class_id(p, design_lqg(p))
+        tables[cid] = ThresholdTable(lambdas=np.array([0.0, 1.0, 2.0]),
+                                     thresholds=np.asarray(thresholds, dtype=float),
+                                     class_id=cid)
+    return run(sc, tables, theta=theta, record_errors=True)
 
 
 class TestSamplingDecision:
-    def make_sampler(self, theta=1.0):
-        table = ThresholdTable(lambdas=np.array([0.0, 1.0]),
-                               thresholds=np.array([0.0, 3.0]),
-                               class_id="toy")
-        return SamplerState(theta=theta, table=table)
+    """engine.run transmits at step k iff |e| > M(theta * source backlog).
+
+    e is the error closed at step k-1, recorded in error_trace[k-1].
+    """
 
     def test_error_above_threshold_transmits(self):
-        assert sampling_decision(np.array([5.0]), 1.0, self.make_sampler())
+        m = run_with_table([1.0, 1.0, 1.0])
+        above = np.abs(m.error_trace[:-1]) > 1.0
+        assert above.any() and not above.all()
+        assert np.array_equal(m.delta_trace[1:], above)
 
     def test_zero_error_never_transmits(self):
-        assert not sampling_decision(np.zeros(1), 0.0, self.make_sampler())
+        # every loop starts with zero error; against a zero threshold the comparison is strict
+        m = run_with_table([0.0, 0.0, 0.0])
+        assert not m.delta_trace[0].any()
+        assert m.delta_trace[1:].all()
 
     def test_empty_network_transmits_any_nonzero_error(self):
-        # backlog 0 -> price 0 -> threshold 0 -> strict comparison fires
-        assert sampling_decision(np.array([1e-9]), 0.0, self.make_sampler())
+        # two loops leave the network empty at every boundary: price 0, threshold 0,
+        # even though any backlog would raise the threshold to 3
+        m = run_with_table([0.0, 3.0, 3.0])
+        assert m.delta_trace[1:].all()
 
     def test_scaling_invariance(self):
-        # scaling e and M by the same constant leaves the decision unchanged
-        rng = np.random.default_rng(3)
-        base = ThresholdTable(lambdas=np.array([0.0, 1.0, 2.0]),
-                              thresholds=np.array([0.0, 1.0, 2.5]),
-                              class_id="toy")
-        for c in (0.1, 3.0, 17.0):
-            scaled = ThresholdTable(lambdas=base.lambdas,
-                                    thresholds=c * base.thresholds,
-                                    class_id="toy")
-            for _ in range(50):
-                e = rng.normal(size=1) * 3
-                backlog = float(rng.integers(0, 3))
-                d1 = sampling_decision(e, backlog, SamplerState(1.0, base))
-                d2 = sampling_decision(c * e, backlog, SamplerState(1.0, scaled))
-                assert d1 == d2
+        # scaling the noise, hence e, and M by the same power of two is exact,
+        # so congested runs make the same decisions
+        base = run_with_table([0.0, 1.0, 2.5], L=24)
+        assert not base.delta_trace[1:].all()  # the backlog price holds samples back
+        for c in (0.5, 4.0):
+            scaled = run_with_table([0.0, c, 2.5 * c], L=24, z=c * c)
+            assert np.array_equal(scaled.error_trace, c * base.error_trace)
+            assert np.array_equal(scaled.delta_trace, base.delta_trace)
 
     def test_nonpositive_theta_rejected(self):
-        with pytest.raises(ValueError):
-            SamplerState(theta=0.0, table=self.make_sampler().table)
+        for theta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="theta"):
+                run_with_table([0.0, 1.0, 2.0], theta=theta)
 
 
 class TestSerialization:
