@@ -129,7 +129,8 @@ def _apply_entries(cfg: RunConfig, entries: dict) -> RunConfig:
         try:
             cfg = replace(cfg, vi=replace(cfg.vi, **vi_kwargs))
         except ValueError as exc:
-            raise ConfigError(f"vi: {exc}") from None
+            keys = ", ".join(key for key in entries if key in _VI_KEYS)
+            raise ConfigError(f"{keys}: {exc}") from None
     return cfg
 
 
@@ -246,7 +247,8 @@ def write_metric_csvs(result: SweepResult, out_dir: str) -> list:
 
 
 def run_experiment(cfg: RunConfig, log=print) -> int:
-    """Full pipeline: tables, sweep, CSVs.  Returns the process exit code."""
+    """Full pipeline: validation, tables, sweep, CSVs.  Returns the process exit code."""
+    cfg.validate()
     tables = load_or_build_tables(cfg, log=log)
 
     def progress(L, partial: SweepResult):

@@ -1,10 +1,13 @@
 """Slotted co-simulation of control loops over a back-pressure network.
 
 Each control period spans `slots_per_step` network slots.  At a period
-boundary every loop closes the previous period (apply deliveries, compute
-the input, advance plant / estimator / error) and then makes its sampling
-decision against the current source backlog.  Within every slot the
-scheduler picks links by differential backlog and moves packets.
+boundary `run` makes one pass over the loops in Python floats: each loop
+closes the previous period (the input from its estimate, corrected by its
+newest delivery, then the plant, estimator, sampler-error and stage-cost
+updates) and decides whether to sample, |e| > M(theta * B), against its
+source backlog B.  M is read from one row per plant class, tabulated once
+per run by backlog.  Within every slot the scheduler picks links by
+differential backlog and moves packets.
 
 The scheduler reads the transport's own state: `BufferSet` keeps the count
 table of queue lengths and differential backlogs per hop and loop, and
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import InputLog, PlantSpec, design_lqg, estimator_deliver
-from .network import (BufferSet, Packet, Topology, pick_max_weight,
+from .network import (BufferSet, Packet, TieStream, Topology, pick_max_weight,
                       stability_diagnostic, transmit)
 from .sampler import plant_class_id
 
@@ -72,6 +75,10 @@ class Scenario:
             raise ValueError("slots_per_step must be at least 1")
         if len(self.plants) != len(self.class_labels):
             raise ValueError("one class label per plant required")
+        for i, plant in enumerate(self.plants):
+            if not plant.is_scalar:
+                raise ValueError(f"loop {i}: plant is not scalar (A {plant.A.shape}, "
+                                 f"B {plant.B.shape}); the engine runs scalar loops only")
         paths = self.topology.paths
         if set(paths) != set(range(len(self.plants))):
             raise ValueError("topology.paths must be keyed by the loops 0..L-1")
@@ -195,54 +202,48 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     spst = scenario.slots_per_step
     warmup = int(horizon * WARMUP_FRAC)
 
-    a = np.array([p.A[0, 0] for p in plants])
-    b = np.array([p.B[0, 0] for p in plants])
-    qx = np.array([p.Qx[0, 0] for p in plants])
-    qu = np.array([p.Qu[0, 0] for p in plants])
-    k_gain = np.empty(L)
-    class_ids = []
-    sol_cache = {}
+    a = np.array([p.A[0, 0] for p in plants])  # NumPy scalars, so a ** d overflows to inf
+    b = [float(p.B[0, 0]) for p in plants]
+    per_plant = {}  # plant parameters -> (-K, threshold row of the plant's class)
+    loops = []  # per loop: (index, a, b, -K, threshold row, Qx, Qu)
     for i, p in enumerate(plants):
         key = (p.A[0, 0], p.B[0, 0], p.Z[0, 0], p.Qx[0, 0], p.Qu[0, 0], p.weight)
-        if key not in sol_cache:
-            sol_cache[key] = design_lqg(p)
-        sol = sol_cache[key]
-        k_gain[i] = sol.K[0, 0]
-        class_ids.append(plant_class_id(p, sol))
-    for cid in class_ids:
-        if cid not in tables:
-            raise KeyError(f"no threshold table for plant class {cid}")
+        if key not in per_plant:
+            sol = design_lqg(p)
+            cid = plant_class_id(p, sol)
+            if cid not in tables:
+                raise KeyError(f"no threshold table for plant class {cid}")
+            # M(theta * B) for every source backlog B a run can reach: a source
+            # holds at most one packet per elapsed period
+            row = tables[cid].lookup_many(theta * np.arange(horizon + 1)).tolist()
+            per_plant[key] = (-float(sol.K[0, 0]), row)
+        loops.append((i, float(a[i]), b[i], *per_plant[key],
+                      float(p.Qx[0, 0]), float(p.Qu[0, 0])))
 
     # one noise stream per loop, one more for scheduler tie-breaks
     noise = np.empty((horizon, L))
     for i, p in enumerate(plants):
-        gen = _loop_rng_seed(scenario.seed, i)
-        noise[:, i] = gen.normal(0.0, math.sqrt(p.Z[0, 0]), size=horizon)
-    tie_rng = _loop_rng_seed(scenario.seed, _TIE_STREAM)
-
-    # per-class threshold lookup indices
-    unique_cids = list(dict.fromkeys(class_ids))
-    cid_index = {cid: np.array([i for i, c in enumerate(class_ids) if c == cid])
-                 for cid in unique_cids}
+        noise[:, i] = _loop_rng_seed(scenario.seed, i).normal(0.0, math.sqrt(p.Z[0, 0]), horizon)
+    ties = TieStream(_loop_rng_seed(scenario.seed, _TIE_STREAM).bit_generator)
 
     # per plant class a^j for j = horizon-1 .. 0, sliced by estimator_deliver;
     # a power past the float range is inf and read only by a replay that deep
-    rows = {ai: ai ** np.arange(horizon - 1, -1, -1, dtype=float) for ai in set(a.tolist())}
-    powers = [rows[ai] for ai in a.tolist()]
+    powers = {ai: ai ** np.arange(horizon - 1, -1, -1, dtype=float) for ai in set(a.tolist())}
 
-    x = np.zeros(L)
-    xhat = np.zeros(L)
-    err = np.zeros(L)
+    x = [0.0] * L
+    xhat = [0.0] * L
+    err = [0.0] * L
     input_log = InputLog(L, horizon)
     last_applied = [-1] * L
     # loop -> its newest delivered packet not yet applied; queues are FIFO,
     # so a loop's last delivery is its newest
     newest: dict = {}
+    resets: dict = {}  # loop -> whether its applied sample arrived with zero delay
 
-    injected = np.zeros(L)
+    injected = [0] * L
     delivered_cnt = [0] * L
     delay_sum = [0] * L
-    cost_sum = np.zeros(L)
+    cost_sum = [0.0] * L
     # backlog_acc sums the source backlog over the slots past warm-up; a change
     # of it is added once, times every such slot from the change to the end
     # of the run, so no slot needs a pass over the loops
@@ -271,54 +272,59 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             m = slot // spst
             if m > 0:
                 # close period m-1: deliveries first, then the input they inform
-                fresh = []  # loops whose newest sample arrived with zero delay
-                late = []   # loops corrected by an older delivery this boundary
                 for i in sorted(newest):
                     _, birth, payload = newest[i]
                     if birth > last_applied[i]:
                         inputs = input_log.window(i, birth, m - 1)
-                        xhat[i] = estimator_deliver(a[i], b[i], powers[i], payload, inputs)
+                        xhat[i] = float(estimator_deliver(a[i], b[i], powers[a[i]],
+                                                          payload, inputs))
                         last_applied[i] = birth
                         input_log.prune(i, birth)
-                        (fresh if birth == m - 1 else late).append(i)
+                        resets[i] = birth == m - 1
                 newest.clear()
-                u = -k_gain * xhat
+                w = noise[m - 1].tolist()
+                costed = m - 1 >= warmup
+            forced = force_delta[m].tolist() if force_delta is not None else None
+            # one pass per loop: close period m-1 (plant, estimator, sampler error
+            # and stage cost under the input u = -K xhat), then decide at step m
+            # against the instantaneous source backlog
+            u = []
+            sampled = []
+            for i, ai, bi, neg_k, row, qxi, qui in loops:
+                e = err[i]
+                if m > 0:
+                    xi = x[i]
+                    ui = neg_k * xhat[i]
+                    u.append(ui)
+                    if costed:
+                        cost_sum[i] += qxi * xi * xi + qui * ui * ui
+                    wi = w[i]
+                    xi = x[i] = ai * xi + bi * ui + wi
+                    xhat[i] = ai * xhat[i] + bi * ui
+                    # sampler error: Eq-18 style coast/reset, resynchronized to
+                    # the true estimation error whenever a delivery arrived late
+                    if i in resets:
+                        e = wi if resets[i] else xi - xhat[i]
+                    else:
+                        e = ai * e + wi
+                    err[i] = e
+                if (abs(e) > row[q0[i]]) if forced is None else forced[i]:
+                    sampled.append(i)
+            if m > 0:
+                resets.clear()
                 input_log.record(m - 1, u)
-                w = noise[m - 1]
-                if m - 1 >= warmup:
-                    cost_sum += qx * x * x + qu * u * u
-                x = a * x + b * u + w
-                xhat = a * xhat + b * u
-                # sampler error: Eq-18 style coast/reset, resynchronized to the
-                # true estimation error whenever a delivery arrived late
-                err = a * err + w
-                err[fresh] = w[fresh]
-                err[late] = x[late] - xhat[late]
                 if record_errors:
                     error_trace[m - 1] = err
-
-            # sampling decision at step m against the instantaneous source backlog
-            src_backlog = np.array(q0, dtype=float)
-            backlog_trace[m] = src_backlog
-            if force_delta is not None:
-                delta = force_delta[m].astype(float)
-            else:
-                thresholds = np.empty(L)
-                for cid in unique_cids:
-                    idx = cid_index[cid]
-                    thresholds[idx] = tables[cid].lookup_many(theta * src_backlog[idx])
-                delta = (np.abs(err) > thresholds).astype(float)
+            backlog_trace[m] = q0
             if record_errors:
-                delta_trace[m] = delta
+                delta_trace[m, sampled] = 1
             remaining = total_slots - max(slot, warmup_slot)
-            sampled = np.flatnonzero(delta).tolist()
-            payloads = x.tolist()
             for i in sampled:
-                buffers.cc_push(Packet(i, m, payloads[i]))
+                buffers.cc_push(Packet(i, m, x[i]))
                 backlog_acc[i] += buffers.cc_admit(i) * remaining
+                if m >= warmup:
+                    injected[i] += 1
             injected_total += len(sampled)
-            if m >= warmup:
-                injected += delta
 
         # back-pressure slot: pick per-hop winners by weight, move packets
         if injected_total == delivered_total:
@@ -326,7 +332,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         assignments = []
         leaving = []  # (loop, source backlog before the move) of loops sent from the source
         for weights, links, capacity, rate, at_source in sched:
-            for i in pick_max_weight(weights, capacity, tie_rng):
+            for i in pick_max_weight(weights, capacity, ties):
                 assignments.append((links[i], i, rate))
                 if at_source:
                     leaving.append((i, q0[i]))
@@ -351,17 +357,19 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                     f"{injected_total} injected vs {delivered_total} delivered "
                     f"+ {buffers.resident()} resident")
 
-    overflowed = np.flatnonzero(~(np.isfinite(cost_sum) & np.isfinite(x)))
-    if overflowed.size:
+    overflowed = [i for i, (c, xi) in enumerate(zip(cost_sum, x))
+                  if not (math.isfinite(c) and math.isfinite(xi))]
+    if overflowed:
         raise NonFiniteError(f"plant state or cost is not finite on loops "
-                             f"{overflowed.tolist()} (seed {scenario.seed})")
+                             f"{overflowed} (seed {scenario.seed})")
     diverging = np.array([stability_diagnostic(backlog_trace[:, i]).diverging
                           for i in range(L)])
     return RunMetrics(
         class_labels=list(scenario.class_labels),
-        injected=injected, delivered=np.array(delivered_cnt, dtype=float),
+        injected=np.array(injected, dtype=float),
+        delivered=np.array(delivered_cnt, dtype=float),
         delay_sum=np.array(delay_sum, dtype=float),
-        cost_sum=cost_sum, backlog_sum=np.array(backlog_acc, dtype=float),
+        cost_sum=np.array(cost_sum), backlog_sum=np.array(backlog_acc, dtype=float),
         steps_rate=horizon - warmup, steps_cost=max(horizon - 1 - warmup, 1),
         slots_backlog=total_slots - warmup_slot,
         diverging=diverging, noise=noise if record_errors else None,
@@ -394,9 +402,6 @@ class SweepResult:
 
     def cell(self, L: int, cls: str, metric: str) -> SweepCell:
         return self.metrics[(L, cls, metric)]
-
-    def series(self, cls: str, metric: str):
-        return [self.metrics[(L, cls, metric)] for L in self.L_values]
 
 
 METRIC_NAMES = ("rate", "backlog", "delay", "cost")

@@ -143,13 +143,68 @@ def assign_flow(weights: Mapping, rng: np.random.Generator):
     return tied[int(rng.integers(len(tied)))]
 
 
-def pick_max_weight(weights: list, capacity: int, rng: np.random.Generator) -> list:
+class TieStream:
+    """The draws `integers(n)` and `choice(n, k, replace=False)` of a Generator.
+
+    Reads the bit generator's raw 64-bit outputs `block` at a time and
+    returns, draw for draw, what a Generator on it would: 32-bit halves, low
+    half first, scaled by Lemire's method with rejection; `choice` is Floyd's
+    algorithm, then a Fisher-Yates shuffle of the k picks.  The Generator
+    takes that `choice` path only for n <= 10000; larger n is rejected.
+    """
+
+    MAX_CHOICE = 10_000
+
+    def __init__(self, bit_generator: np.random.BitGenerator, block: int = 256):
+        self._raw = bit_generator.random_raw
+        self._block = block
+        self._halves: list = []  # 32-bit halves not yet read, next one last
+
+    def _next32(self) -> int:
+        if not self._halves:
+            # little-endian order puts each output's low half first
+            self._halves = self._raw(self._block).astype("<u8").view("<u4")[::-1].tolist()
+        return self._halves.pop()
+
+    def integers(self, n: int) -> int:
+        """Uniform on 0..n-1 for 1 <= n < 2**32; n = 1 reads nothing."""
+        if not 1 <= n < 2**32:
+            raise ValueError(f"n must be in 1..2**32-1, got {n}")
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def choice(self, n: int, size: int, replace: bool = False) -> list:
+        if replace or not 1 <= n <= self.MAX_CHOICE or not 0 <= size <= n:
+            raise ValueError(f"only samples without replacement of size 0..n from "
+                             f"1 <= n <= {self.MAX_CHOICE}, got n={n}, size={size}")
+        picks: list = []
+        taken = set()
+        for j in range(n - size, n):
+            val = self.integers(j + 1)
+            if val in taken:
+                val = j
+            taken.add(val)
+            picks.append(val)
+        for i in range(size - 1, 0, -1):
+            j = self.integers(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+
+def pick_max_weight(weights: list, capacity: int, rng) -> list:
     """Indices of up to `capacity` largest positive weights, uniform among ties.
 
     Per-hop max-weight selection: weights are taken tier by tier from the
     top; a tier larger than the remaining capacity is sampled without
-    replacement from `rng`.  Entries taken are masked while picking and
-    restored before returning, so `weights` is left as it was given.
+    replacement from `rng`, a Generator or a TieStream.  Entries taken are
+    masked while picking and restored before returning, so `weights` is
+    left as it was given.
     """
     chosen: list = []
     masked: list = []  # (tier, weight) of whole tiers hidden from later rounds

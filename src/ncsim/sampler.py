@@ -59,14 +59,14 @@ class ViConfig:
     max_iter: int = 500_000
 
     def __post_init__(self):
-        if self.e_max <= 0 or self.e_step <= 0:
-            raise ValueError("e_max and e_step must be positive")
+        for name in ("e_max", "e_step", "span_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.e_max / self.e_step < 100:
             raise ValueError("grid too coarse: need e_max/e_step >= 100")
         if self.noise_quad < 2:
             raise ValueError("noise_quad must be at least 2")
-        if self.span_tol <= 0:
-            raise ValueError("span_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -229,16 +229,19 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, cfg: ViConfig,
     return threshold, h, avg_cost, it
 
 
+def _plant_mdp(spec: PlantSpec, sol: LqgSolution, cfg: ViConfig) -> _ErrorGridMdp:
+    if not spec.is_scalar:
+        raise ValueError("threshold design is defined for scalar plants")
+    return _ErrorGridMdp(a=float(spec.A[0, 0]), qe=float(spec.weight * sol.Qe[0, 0]),
+                         z=float(spec.Z[0, 0]), cfg=cfg)
+
+
 def design_threshold(lam: float, spec: PlantSpec, sol: LqgSolution,
                      cfg: ViConfig = ViConfig()) -> float:
     """Optimal sampling threshold M(lambda) for one scalar plant class."""
     if lam < 0:
         raise ValueError("price must be non-negative")
-    if not spec.is_scalar:
-        raise ValueError("threshold design is defined for scalar plants")
-    mdp = _ErrorGridMdp(a=float(spec.A[0, 0]),
-                        qe=float(spec.weight * sol.Qe[0, 0]),
-                        z=float(spec.Z[0, 0]), cfg=cfg)
+    mdp = _plant_mdp(spec, sol, cfg)
     threshold, _, _, _ = _solve_threshold(lam, mdp, cfg)
     return threshold
 
@@ -255,12 +258,8 @@ def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
         raise ValueError("lambda grid must start at 0")
     if np.any(np.diff(lams) <= 0):
         raise ValueError("lambda grid must be strictly ascending")
-    if not spec.is_scalar:
-        raise ValueError("threshold design is defined for scalar plants")
 
-    mdp = _ErrorGridMdp(a=float(spec.A[0, 0]),
-                        qe=float(spec.weight * sol.Qe[0, 0]),
-                        z=float(spec.Z[0, 0]), cfg=cfg)
+    mdp = _plant_mdp(spec, sol, cfg)
     thresholds = np.empty_like(lams)
     h = None
     for i, lam in enumerate(lams):

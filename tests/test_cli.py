@@ -1,5 +1,6 @@
 """Config parsing, experiment orchestration, CSV emission."""
 
+import math
 import os
 
 import pytest
@@ -63,6 +64,14 @@ class TestParseConfig:
     def test_negative_seed_names_field(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(["--seed", "-1"])
+
+    def test_non_finite_vi_settings_name_the_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for key in ("vi_e_max", "vi_e_step", "vi_span_tol"):
+            for value in ("nan", "inf", "0"):
+                path.write_text(f"{key}={value}\n")
+                with pytest.raises(ConfigError, match=key):
+                    parse_config(["--config", str(path)])
 
     def test_vi_override(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -139,6 +148,30 @@ class TestRunExperiment:
                        "--out", str(tmp_path / "out"), flag, value])
             assert rc == EXIT_CONFIG_ERROR
             assert flag[2:] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_vi_settings_exit_before_tables(self, tmp_path, monkeypatch, capsys):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("tables built for an invalid config")
+        monkeypatch.setattr(cli, "build_table", no_tables)
+        path = tmp_path / "run.cfg"
+        for entry in ("vi_e_step=nan", "vi_span_tol=inf"):
+            path.write_text(entry + "\n")
+            rc = main(["--config", str(path), "--L", "2", "--horizon", "1000",
+                       "--replications", "1", "--out", str(tmp_path / "out"),
+                       "--cache", str(tmp_path / "cache")])
+            assert rc == EXIT_CONFIG_ERROR
+            assert entry.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_experiment_validates_before_tables(self, tmp_path, monkeypatch):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("tables built for an invalid config")
+        monkeypatch.setattr(cli, "build_table", no_tables)
+        cfg = RunConfig(L_values=(2,), horizon=1000, replications=1, theta=math.nan,
+                        out_dir=str(tmp_path / "out"), cache_dir=str(tmp_path / "cache"))
+        with pytest.raises(ConfigError, match="theta"):
+            run_experiment(cfg, log=lambda *a: None)
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_run_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -88,6 +88,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="no path reaches"):
             dataclasses.replace(sc, hop_groups=[HopGroup(0, 2), HopGroup(2, 2)])
 
+    def test_non_scalar_plant_rejected_naming_the_loop(self):
+        sc = make_two_hop_scenario(2, seed=0)
+        plants = [sc.plants[0], PlantSpec(A=np.eye(2), B=np.ones((2, 1)), Z=np.eye(2),
+                                          Qx=np.eye(2), Qu=1.0)]
+        with pytest.raises(ValueError, match="loop 1: .*scalar"):
+            dataclasses.replace(sc, plants=plants)
+
     @pytest.mark.parametrize("capacity, rate, field", [(0, 1, "capacity"), (1.5, 1, "capacity"),
                                                        (2, 0, "rate"), (2, 1.0, "rate")])
     def test_capacity_and_rate_must_be_positive_integers(self, capacity, rate, field):
@@ -180,6 +187,31 @@ class TestRun:
         never = np.zeros((5000, 4), dtype=bool)  # the unstable loops 2 and 3 run open loop
         with pytest.raises(NonFiniteError, match=r"loops \[2, 3\]"):
             run(sc, tables, theta=0.8, force_delta=never)
+
+    @pytest.mark.filterwarnings("error")
+    def test_replay_deeper_than_the_float_range_of_a_power(self, tables):
+        """An unstable loop's sample delivered over 3200 periods late: 1.25**d is inf.
+
+        Two stable loops hog a one-hop link of capacity 1 (one slot per
+        period) for 3300 periods; the unstable loop's one sample, from step 5,
+        waits until their queues have drained.  Its plant state overflows
+        meanwhile, which the run reports, not the replay.
+        """
+        horizon = 7000
+        plants = ([PlantSpec(A=0.75, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)] * 2
+                  + [PlantSpec(A=1.25, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)])
+        links = [(f"s{i}", f"d{i}") for i in range(3)]
+        topo = Topology(nodes=frozenset(n for link in links for n in link),
+                        links=frozenset(links), paths={i: (links[i],) for i in range(3)},
+                        src={i: f"s{i}" for i in range(3)}, dst={i: f"d{i}" for i in range(3)})
+        sc = Scenario(plants=plants, class_labels=["stable", "stable", "unstable"],
+                      topology=topo, hop_groups=[HopGroup(0, 1)], slots_per_step=1,
+                      horizon=horizon, seed=1)
+        force = np.zeros((horizon, 3), dtype=bool)
+        force[:3300, :2] = True
+        force[5, 2] = True
+        with pytest.raises(NonFiniteError, match=r"loops \[2\]"):
+            run(sc, tables, theta=0.8, force_delta=force)
 
     def test_non_finite_theta_rejected(self, tables):
         sc = make_two_hop_scenario(2, seed=0, horizon=1000)

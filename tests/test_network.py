@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import engine_oracle
 from engine_oracle import differential_backlog
 from ncsim.network import (ActionSet, BufferSet, Packet, RateContractError,
-                           Topology, assign_flow, pick_max_weight,
+                           TieStream, Topology, assign_flow, pick_max_weight,
                            stability_diagnostic, transmit, wsr_schedule)
 
 
@@ -144,6 +144,43 @@ class TestPickMaxWeight:
         assert pick_max_weight(weights, capacity, new_rng) == want
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
         assert weights == given_weights
+
+
+def choice_draws(max_n: int, max_size: int):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(st.just("choice"), st.just(n), st.integers(0, min(n, max_size))))
+
+
+tie_draws = st.one_of(
+    st.tuples(st.just("integers"), st.integers(1, 50)),
+    # past 2**31 about half the 32-bit draws are rejected and redrawn
+    st.tuples(st.just("integers"), st.integers(2**31 + 1, 2**32 - 1)),
+    choice_draws(40, 40), choice_draws(TieStream.MAX_CHOICE, 8))
+
+
+class TestTieStream:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 300),
+           draws=st.lists(tie_draws, max_size=25))
+    def test_matches_generator_draw_for_draw(self, seed, block, draws):
+        rng = np.random.default_rng(seed)
+        ties = TieStream(np.random.default_rng(seed).bit_generator, block)
+        for draw in draws:
+            if draw[0] == "integers":
+                assert ties.integers(draw[1]) == rng.integers(draw[1])
+            else:
+                _, n, k = draw
+                assert ties.choice(n, k) == rng.choice(n, size=k, replace=False).tolist()
+
+    def test_out_of_range_rejected(self):
+        ties = TieStream(np.random.PCG64(0))
+        for n in (0, 2**32):
+            with pytest.raises(ValueError):
+                ties.integers(n)
+        for n, k, replace in ((TieStream.MAX_CHOICE + 1, 1, False), (3, 4, False),
+                              (3, 2, True), (0, 0, False)):
+            with pytest.raises(ValueError):
+                ties.choice(n, k, replace=replace)
 
 
 def dict_action_set(actions_to_rates):
