@@ -6,7 +6,7 @@ from .control import (InputLog, LqgSolution, PlantSpec, ReplayError,
 from .engine import (NonFiniteError, RunMetrics, Scenario, SweepResult,
                      make_two_hop_scenario, run, run_seed, sweep)
 from .network import (ActionSet, BufferSet, Packet, RateContractError,
-                      ScheduleChoice, TieStream, Topology, assign_flow,
+                      ScheduleChoice, Topology, assign_flow,
                       pick_max_weight, stability_diagnostic, transmit, wsr_schedule)
 from .sampler import (ThresholdStructureError, ThresholdTable,
                       ValueIterationError, ViConfig, build_table,

@@ -129,7 +129,8 @@ def _apply_entries(cfg: RunConfig, entries: dict) -> RunConfig:
         try:
             cfg = replace(cfg, vi=replace(cfg.vi, **vi_kwargs))
         except ValueError as exc:
-            keys = ", ".join(key for key in entries if key in _VI_KEYS)
+            fields = str(exc).split(" ", 1)[0].split("/")  # ViConfig names them first
+            keys = ", ".join(key for key, (attr, _) in _VI_KEYS.items() if attr in fields)
             raise ConfigError(f"{keys}: {exc}") from None
     return cfg
 

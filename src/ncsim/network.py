@@ -144,26 +144,26 @@ def assign_flow(weights: Mapping, rng: np.random.Generator):
 
 
 class TieStream:
-    """The draws `integers(n)` and `choice(n, k, replace=False)` of a Generator.
+    """The draws `integers(n)` and `choice(n, k)` (no replacement) of a Generator.
 
-    Reads the bit generator's raw 64-bit outputs `block` at a time and
-    returns, draw for draw, what a Generator on it would: 32-bit halves, low
-    half first, scaled by Lemire's method with rejection; `choice` is Floyd's
+    Reads the bit generator's raw 64-bit outputs BLOCK at a time and returns,
+    draw for draw, what a Generator on it would: 32-bit halves, low half
+    first, scaled by Lemire's method with rejection; `choice` is Floyd's
     algorithm, then a Fisher-Yates shuffle of the k picks.  The Generator
-    takes that `choice` path only for n <= 10000; larger n is rejected.
+    leaves that `choice` path when n > 10000 and k > n // 50; that is rejected.
     """
 
+    BLOCK = 256
     MAX_CHOICE = 10_000
 
-    def __init__(self, bit_generator: np.random.BitGenerator, block: int = 256):
+    def __init__(self, bit_generator: np.random.BitGenerator):
         self._raw = bit_generator.random_raw
-        self._block = block
         self._halves: list = []  # 32-bit halves not yet read, next one last
 
     def _next32(self) -> int:
         if not self._halves:
             # little-endian order puts each output's low half first
-            self._halves = self._raw(self._block).astype("<u8").view("<u4")[::-1].tolist()
+            self._halves = self._raw(self.BLOCK).astype("<u8").view("<u4")[::-1].tolist()
         return self._halves.pop()
 
     def integers(self, n: int) -> int:
@@ -179,10 +179,9 @@ class TieStream:
                 m = self._next32() * n
         return m >> 32
 
-    def choice(self, n: int, size: int, replace: bool = False) -> list:
-        if replace or not 1 <= n <= self.MAX_CHOICE or not 0 <= size <= n:
-            raise ValueError(f"only samples without replacement of size 0..n from "
-                             f"1 <= n <= {self.MAX_CHOICE}, got n={n}, size={size}")
+    def choice(self, n: int, size: int) -> list:
+        if n < 1 or not 0 <= size <= n or n > self.MAX_CHOICE and size > n // 50:
+            raise ValueError(f"not a sample the Generator draws by Floyd: n={n}, size={size}")
         picks: list = []
         taken = set()
         for j in range(n - size, n):
@@ -197,14 +196,14 @@ class TieStream:
         return picks
 
 
-def pick_max_weight(weights: list, capacity: int, rng) -> list:
+def pick_max_weight(weights: list, capacity: int, rng: TieStream) -> list:
     """Indices of up to `capacity` largest positive weights, uniform among ties.
 
     Per-hop max-weight selection: weights are taken tier by tier from the
     top; a tier larger than the remaining capacity is sampled without
-    replacement from `rng`, a Generator or a TieStream.  Entries taken are
-    masked while picking and restored before returning, so `weights` is
-    left as it was given.
+    replacement from the TieStream `rng`.  Entries taken are masked while
+    picking and restored before returning, so `weights` is left as it was
+    given.
     """
     chosen: list = []
     masked: list = []  # (tier, weight) of whole tiers hidden from later rounds
@@ -234,7 +233,7 @@ def pick_max_weight(weights: list, capacity: int, rng) -> list:
                     second += 1
                 take = [tier[first], tier[second]]
             else:
-                take = [tier[j] for j in rng.choice(tied, size=need, replace=False)]
+                take = [tier[j] for j in rng.choice(tied, need)]
         chosen += take
         need -= len(take)
         if need > 0:  # the whole tier was taken

@@ -64,7 +64,7 @@ class ViConfig:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.e_max / self.e_step < 100:
-            raise ValueError("grid too coarse: need e_max/e_step >= 100")
+            raise ValueError("e_max/e_step must be at least 100 (grid too coarse)")
         if self.noise_quad < 2:
             raise ValueError("noise_quad must be at least 2")
         if self.max_iter < 1:

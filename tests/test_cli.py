@@ -69,9 +69,13 @@ class TestParseConfig:
         path = tmp_path / "run.cfg"
         for key in ("vi_e_max", "vi_e_step", "vi_span_tol"):
             for value in ("nan", "inf", "0"):
-                path.write_text(f"{key}={value}\n")
-                with pytest.raises(ConfigError, match=key):
+                # the valid vi_quad in the same file is not named
+                path.write_text(f"vi_quad=16\n{key}={value}\n")
+                with pytest.raises(ConfigError, match=f"^{key}: "):
                     parse_config(["--config", str(path)])
+        path.write_text("vi_quad=16\nvi_e_max=1\n")  # grid of 20 steps: either key fixes it
+        with pytest.raises(ConfigError, match="^vi_e_max, vi_e_step: "):
+            parse_config(["--config", str(path)])
 
     def test_vi_override(self, tmp_path):
         path = tmp_path / "run.cfg"

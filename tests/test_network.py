@@ -139,10 +139,11 @@ class TestPickMaxWeight:
         old_rng = np.random.default_rng(seed)
         want = engine_oracle._pick_max_weight([weights[i] for i in ids], ids,
                                               capacity, old_rng)
-        new_rng = np.random.default_rng(seed)
+        ties = TieStream(np.random.PCG64(seed))
         given_weights = list(weights)
-        assert pick_max_weight(weights, capacity, new_rng) == want
-        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        assert pick_max_weight(weights, capacity, ties) == want
+        # both streams drew as many 32-bit halves
+        assert ties.integers(2**32 - 1) == old_rng.integers(2**32 - 1)
         assert weights == given_weights
 
 
@@ -155,7 +156,10 @@ tie_draws = st.one_of(
     st.tuples(st.just("integers"), st.integers(1, 50)),
     # past 2**31 about half the 32-bit draws are rejected and redrawn
     st.tuples(st.just("integers"), st.integers(2**31 + 1, 2**32 - 1)),
-    choice_draws(40, 40), choice_draws(TieStream.MAX_CHOICE, 8))
+    choice_draws(40, 40), choice_draws(TieStream.MAX_CHOICE, 8),
+    # past MAX_CHOICE the Generator keeps Floyd's algorithm for k <= n // 50
+    st.tuples(st.just("choice"), st.integers(TieStream.MAX_CHOICE + 1, 2**32 - 1),
+              st.integers(0, 8)))
 
 
 class TestTieStream:
@@ -164,7 +168,8 @@ class TestTieStream:
            draws=st.lists(tie_draws, max_size=25))
     def test_matches_generator_draw_for_draw(self, seed, block, draws):
         rng = np.random.default_rng(seed)
-        ties = TieStream(np.random.default_rng(seed).bit_generator, block)
+        ties = TieStream(np.random.PCG64(seed))
+        ties.BLOCK = block  # small blocks make the draws cross refills
         for draw in draws:
             if draw[0] == "integers":
                 assert ties.integers(draw[1]) == rng.integers(draw[1])
@@ -177,10 +182,10 @@ class TestTieStream:
         for n in (0, 2**32):
             with pytest.raises(ValueError):
                 ties.integers(n)
-        for n, k, replace in ((TieStream.MAX_CHOICE + 1, 1, False), (3, 4, False),
-                              (3, 2, True), (0, 0, False)):
+        for n, k in ((TieStream.MAX_CHOICE + 1, (TieStream.MAX_CHOICE + 1) // 50 + 1),
+                     (3, 4), (0, 0)):
             with pytest.raises(ValueError):
-                ties.choice(n, k, replace=replace)
+                ties.choice(n, k)
 
 
 def dict_action_set(actions_to_rates):
