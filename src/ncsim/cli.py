@@ -160,14 +160,9 @@ def parse_config(argv=None) -> RunConfig:
         if not os.path.exists(args.config):
             raise ConfigError(f"config: file not found: {args.config}")
         cfg = _apply_entries(cfg, _read_config_file(args.config))
-    flag_entries = {}
-    for flag, key in (("L", "L"), ("seed", "seed"), ("replications", "replications"),
-                      ("horizon", "horizon"), ("out", "out"), ("theta", "theta"),
-                      ("cache", "cache"), ("workers", "workers")):
-        value = getattr(args, flag)
-        if value is not None:
-            flag_entries[key] = str(value)
-    cfg = _apply_entries(cfg, flag_entries)
+    flags = {key: str(getattr(args, key)) for key in _KEY_PARSERS
+             if getattr(args, key) is not None}  # each key's flag is --<key>
+    cfg = _apply_entries(cfg, flags)
     cfg.validate()
     return cfg
 

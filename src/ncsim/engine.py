@@ -38,7 +38,6 @@ from .sampler import plant_class_id
 
 STABLE_A = 0.75
 UNSTABLE_A = 1.25
-CLASS_LABELS = {STABLE_A: "stable", UNSTABLE_A: "unstable"}
 SLOTS_PER_STEP = 10  # network slots per control period in the two-hop scenario
 WARMUP_FRAC = 0.1  # leading share of every run left out of the metrics
 
@@ -51,11 +50,13 @@ class NonFiniteError(ArithmeticError):
 
 @dataclass(frozen=True)
 class HopGroup:
-    """One shared hop: links at `position` along every path, `capacity` of them per slot."""
+    """One shared hop: links at `position` along every path, `capacity` of them per slot.
+
+    Each scheduled link moves one packet per slot.
+    """
 
     position: int
     capacity: int
-    rate: int = 1
 
 
 @dataclass
@@ -63,7 +64,6 @@ class Scenario:
     """Everything one run needs: loops, transport, timing, seeding."""
 
     plants: list
-    class_labels: list
     topology: Topology
     hop_groups: list
     slots_per_step: int
@@ -73,8 +73,6 @@ class Scenario:
     def __post_init__(self):
         if self.slots_per_step < 1:
             raise ValueError("slots_per_step must be at least 1")
-        if len(self.plants) != len(self.class_labels):
-            raise ValueError("one class label per plant required")
         for i, plant in enumerate(self.plants):
             if not plant.is_scalar:
                 raise ValueError(f"loop {i}: plant is not scalar (A {plant.A.shape}, "
@@ -89,10 +87,14 @@ class Scenario:
         for group in self.hop_groups:
             if not 0 <= group.position < reach:
                 raise ValueError(f"hop group at position {group.position}: no path reaches it")
-            for name, value in (("capacity", group.capacity), ("rate", group.rate)):
-                if not isinstance(value, numbers.Integral) or value < 1:
-                    raise ValueError(f"hop group at position {group.position}: {name} "
-                                     f"must be an integer >= 1, got {value!r}")
+            if not isinstance(group.capacity, numbers.Integral) or group.capacity < 1:
+                raise ValueError(f"hop group at position {group.position}: capacity "
+                                 f"must be an integer >= 1, got {group.capacity!r}")
+
+    @property
+    def class_labels(self) -> list:
+        """Per loop "stable" if its plant has |A| < 1, else "unstable"."""
+        return ["stable" if abs(p.A[0, 0]) < 1 else "unstable" for p in self.plants]
 
 
 def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000) -> Scenario:
@@ -104,25 +106,11 @@ def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000) -> Scenario:
     if L < 2 or L % 2 != 0:
         raise ValueError("L must be an even number of loops, at least 2")
 
-    plants = []
-    labels = []
-    for i in range(L):
-        a = STABLE_A if i < L // 2 else UNSTABLE_A
-        plants.append(PlantSpec(A=a, B=1.0, Z=1.0, Qx=1.0, Qu=0.0))
-        labels.append(CLASS_LABELS[a])
-
-    bs = "bs"
-    uplinks = [(f"src{i}", bs) for i in range(L)]
-    downlinks = [(bs, f"dst{i}") for i in range(L)]
-    topology = Topology(
-        nodes=frozenset([bs] + [f"src{i}" for i in range(L)] + [f"dst{i}" for i in range(L)]),
-        links=frozenset(uplinks + downlinks),
-        paths={i: (uplinks[i], downlinks[i]) for i in range(L)},
-        src={i: f"src{i}" for i in range(L)},
-        dst={i: f"dst{i}" for i in range(L)},
-    )
+    plants = [PlantSpec(A=STABLE_A if i < L // 2 else UNSTABLE_A, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)
+              for i in range(L)]
+    topology = Topology(paths={i: ((f"src{i}", "bs"), ("bs", f"dst{i}")) for i in range(L)})
     hop_groups = [HopGroup(position=0, capacity=2), HopGroup(position=1, capacity=2)]
-    return Scenario(plants=plants, class_labels=labels, topology=topology,
+    return Scenario(plants=plants, topology=topology,
                     hop_groups=hop_groups, slots_per_step=SLOTS_PER_STEP,
                     horizon=horizon, seed=seed)
 
@@ -260,12 +248,9 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
 
     buffers = BufferSet(scenario.topology)
     q0 = buffers.backlog[0]
-    paths = scenario.topology.paths
-    sched = []  # per hop group: (weights, each loop's link at the hop, capacity, rate, at source)
-    for group in scenario.hop_groups:
-        pos = group.position
-        links = [paths[i][pos] if pos < len(paths[i]) else None for i in range(L)]
-        sched.append((buffers.diff[pos], links, group.capacity, group.rate, pos == 0))
+    # per hop group: (position on the paths, its weight row, capacity)
+    sched = [(group.position, buffers.diff[group.position], group.capacity)
+             for group in scenario.hop_groups]
 
     for slot in range(total_slots):
         if slot % spst == 0:
@@ -331,10 +316,10 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             continue  # all buffers empty, nothing to schedule
         assignments = []
         leaving = []  # (loop, source backlog before the move) of loops sent from the source
-        for weights, links, capacity, rate, at_source in sched:
+        for pos, weights, capacity in sched:
             for i in pick_max_weight(weights, capacity, ties):
-                assignments.append((links[i], i, rate))
-                if at_source:
+                assignments.append((pos, i, 1))
+                if pos == 0:
                     leaving.append((i, q0[i]))
         if assignments:
             for loop, packet in transmit(buffers, assignments, slot):

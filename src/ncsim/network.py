@@ -1,66 +1,45 @@
 """Packet transport over a fixed-route multi-hop network.
 
+Each loop has one fixed path, and a hop is addressed by its position on
+that path: hop 0 leaves the source, the path's last hop reaches the target.
 Packets are unit-size and FIFO per loop, so every queue is an integer count
-that `BufferSet` keeps, with its differential backlog [B_source - B_nexthop]+,
-as Lindley dynamics move packets.  Congestion control is pass-through (the
-network-aware sampler already throttles injection), and per-slot link use is
-decided by back-pressure: flows are prioritized by differential backlog and
-the joint action maximizes the weighted sum rate over an enumerable action set.
+that `BufferSet` keeps per (position, loop), with its differential backlog
+[B_p - B_p+1]+, as Lindley dynamics move packets.  Congestion control is
+pass-through (the network-aware sampler already throttles injection), and
+per-slot link use is decided by back-pressure: flows are prioritized by
+differential backlog and the joint action maximizes the weighted sum rate
+over an enumerable action set.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-Node = Hashable
-Link = tuple  # (from_node, to_node)
-
-
-class RateContractError(RuntimeError):
-    """A flow was assigned more rate than its link supports."""
 
 
 @dataclass(frozen=True)
 class Topology:
-    """Nodes, directed links, and one fixed path per loop."""
+    """One fixed path per loop: a non-empty, connected, cycle-free tuple of (from, to) links."""
 
-    nodes: frozenset
-    links: frozenset
     paths: dict  # loop id -> tuple of links
-    src: dict    # loop id -> source node
-    dst: dict    # loop id -> target node
 
     def __post_init__(self):
         for loop, path in self.paths.items():
             if not path:
                 raise ValueError(f"loop {loop}: path is empty")
-            if path[0][0] != self.src[loop]:
-                raise ValueError(f"loop {loop}: path does not start at its source")
-            if path[-1][1] != self.dst[loop]:
-                raise ValueError(f"loop {loop}: path does not end at its target")
             visited = {path[0][0]}
             prev_end = path[0][0]
             for link in path:
                 m, n_ = link
-                if link not in self.links:
-                    raise ValueError(f"loop {loop}: link {link} not in topology")
                 if m != prev_end:
                     raise ValueError(f"loop {loop}: path is not connected at {link}")
                 if n_ in visited:
                     raise ValueError(f"loop {loop}: path revisits node {n_}")
                 visited.add(n_)
                 prev_end = n_
-            for node in visited:
-                if node not in self.nodes:
-                    raise ValueError(f"loop {loop}: node {node} not in topology")
-
-    def path_nodes(self, loop) -> tuple:
-        """Nodes along the loop's path, source first, excluding the target."""
-        return tuple(link[0] for link in self.paths[loop])
 
 
 class Packet(NamedTuple):
@@ -74,22 +53,22 @@ class Packet(NamedTuple):
 class BufferSet:
     """Queue state as integer counts, for loops 0..L-1 along H hops at most.
 
-    backlog[p][i] counts loop i's packets in the MAC buffer at hop p of its
-    path (0 past the path; row H is all zero) and diff[p][i] is the weight
-    [backlog[p][i] - backlog[p+1][i]]+; cc_admit and transmit update both
-    for the loops they move.  A loop's resident packets, CC buffer included,
-    form one deque in birth order, whose head is the next to be delivered.
-    Admitted data is transmittable in the admission slot, data received over
-    a link only from the next slot: arrived[p][i] = (slot, count) stamps the
-    latest arrivals at hop p.  Slots never decrease.  Destination buffers do
-    not exist; arrivals there are handed straight up.
+    backlog[p][i] counts loop i's packets in the MAC buffer at position p of
+    its path (0 past the path; row H is all zero) and diff[p][i] is the
+    weight [backlog[p][i] - backlog[p+1][i]]+; cc_admit and transmit update
+    both for the loops they move.  cc[i] counts loop i's packets held by
+    congestion control, not yet admitted to position 0.  A loop's resident
+    packets, CC buffer included, form one deque in birth order, whose head
+    is the next to be delivered.  Admitted data is transmittable in the
+    admission slot, data received over a link only from the next slot:
+    arrived[p][i] = (slot, count) stamps the latest arrivals at position p.
+    Slots never decrease.  Destination buffers do not exist; arrivals there
+    are handed straight up.
     """
 
     def __init__(self, topology: Topology):
         loops = range(len(topology.paths))
         self.last = [len(topology.paths[i]) - 1 for i in loops]  # hop that reaches the target
-        self.hop = {(node, i): p for i in loops
-                    for p, node in enumerate(topology.path_nodes(i))}
         hops = max(self.last, default=-1) + 1
         self.backlog = [[0] * len(loops) for _ in range(hops + 1)]
         self.diff = [[0] * len(loops) for _ in range(hops)]
@@ -111,13 +90,6 @@ class BufferSet:
             gap = q0[loop] - self.backlog[1][loop]
             self.diff[0][loop] = gap if gap > 0 else 0
         return admitted
-
-    def tx_backlog(self, node, loop) -> int:
-        p = self.hop.get((node, loop))
-        return 0 if p is None else self.backlog[p][loop]
-
-    def cc_backlog(self, loop) -> int:
-        return self.cc[loop]
 
     def resident(self) -> int:
         """Packets currently held anywhere (CC plus MAC)."""
@@ -288,30 +260,19 @@ def wsr_schedule(link_state, link_weights: Mapping, action_set: ActionSet,
     return ScheduleChoice(action=action, rates=rates, value=best_value)
 
 
-def transmit(buffers: BufferSet, assignments: Sequence, slot: int,
-             link_capacity: Mapping | None = None) -> list:
+def transmit(buffers: BufferSet, assignments: Sequence, slot: int) -> list:
     """Move packets for one slot; returns [(loop, packet)] delivered packets.
 
-    `assignments` is a sequence of (link, loop, rate).  Whole packets move
-    FIFO, at most floor(rate) per assignment, and only packets already
-    transmittable this slot (relayed data waits one slot).  Packets that
-    reach the loop's target node are emitted, never buffered.
+    `assignments` is a sequence of (hop, loop, rate), `hop` the position on
+    the loop's path.  Whole packets move FIFO, at most floor(rate) per
+    assignment, and only packets already transmittable this slot (relayed
+    data waits one slot).  Packets that leave the path's last hop reach the
+    loop's target and are emitted, never buffered.
     """
-    if link_capacity is not None:
-        totals: dict = {}
-        for link, _, rate in assignments:
-            totals[link] = totals.get(link, 0.0) + rate
-        for link, total in totals.items():
-            cap = link_capacity.get(link, 0.0)
-            if total > cap + 1e-12:
-                raise RateContractError(
-                    f"link {link}: assigned rate {total:g} exceeds capacity {cap:g}")
-
     delivered = []
     backlog, diff, arrived = buffers.backlog, buffers.diff, buffers.arrived
     hops = len(diff)
-    for (m, _), loop, rate in assignments:
-        p = buffers.hop[m, loop]
+    for p, loop, rate in assignments:
         here = backlog[p]
         stamp, fresh = arrived[p][loop]
         moved = min(int(rate), here[loop] - fresh if stamp == slot else here[loop])

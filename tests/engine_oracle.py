@@ -7,7 +7,11 @@ the same scenario, tables and options the two engines must return identical
 (tests/test_network.py).  The deque `BufferSet`, `Packet`, `transmit`, the
 list `InputLog`, `_replay_scalar`, `differential_backlog` and `RunMetrics`
 are copied verbatim from that version, so the oracle imports nothing the
-counts-based transport changed.  Not a test module itself.
+counts-based transport changed.  Since `Topology` holds only the paths, the
+oracle reads each loop's source, target and path nodes off
+`topology.paths`, defines its own `RateContractError`, and moves one packet
+per scheduled link and slot, the only rate hop groups take; its logic is
+unchanged.  Not a test module itself.
 """
 
 from __future__ import annotations
@@ -21,8 +25,12 @@ import numpy as np
 
 from ncsim.control import ReplayError, design_lqg
 from ncsim.engine import _TIE_STREAM, _loop_rng_seed
-from ncsim.network import RateContractError, Topology, stability_diagnostic
+from ncsim.network import Topology, stability_diagnostic
 from ncsim.sampler import plant_class_id
+
+
+class RateContractError(RuntimeError):
+    """A flow was assigned more rate than its link supports."""
 
 
 @dataclass(frozen=True)
@@ -51,9 +59,9 @@ class BufferSet:
     def __init__(self, topology: Topology):
         self.topology = topology
         self.cc = {loop: deque() for loop in topology.paths}
-        self.tx = {(node, loop): deque()
+        self.tx = {(link[0], loop): deque()
                    for loop in topology.paths
-                   for node in topology.path_nodes(loop)}
+                   for link in topology.paths[loop]}
 
     def cc_push(self, packet: Packet) -> None:
         self.cc[packet.loop_id].append(packet)
@@ -61,7 +69,7 @@ class BufferSet:
     def cc_admit(self, loop, slot: int) -> int:
         """Pass-through congestion control: admit the whole CC backlog."""
         queue = self.cc[loop]
-        target = self.tx[(self.topology.src[loop], loop)]
+        target = self.tx[(self.topology.paths[loop][0][0], loop)]
         admitted = len(queue)
         while queue:
             target.append((slot, queue.popleft()))
@@ -107,7 +115,7 @@ def transmit(buffers: BufferSet, assignments: Sequence, slot: int,
     for link, loop, rate in assignments:
         m, n = link
         queue = buffers.tx[(m, loop)]
-        to_target = n == buffers.topology.dst[loop]
+        to_target = n == buffers.topology.paths[loop][-1][1]
         budget = int(rate)
         while budget > 0 and queue and queue[0][0] <= slot:
             _, packet = queue.popleft()
@@ -269,7 +277,7 @@ def run(scenario, tables: dict, theta: float = 1.0,
                  for cid in unique_cids}
 
     buffers = BufferSet(scenario.topology)
-    chains = [[buffers.tx[(node, i)] for node in scenario.topology.path_nodes(i)]
+    chains = [[buffers.tx[(link[0], i)] for link in scenario.topology.paths[i]]
               for i in range(L)]
 
     x = np.zeros(L)
@@ -375,7 +383,7 @@ def run(scenario, tables: dict, theta: float = 1.0,
                     cand_w.append(wgt)
                     cand_i.append(i)
             for i in _pick_max_weight(cand_w, cand_i, group.capacity, tie_rng):
-                assignments.append((scenario.topology.paths[i][pos], i, group.rate))
+                assignments.append((scenario.topology.paths[i][pos], i, 1))
         if assignments:
             for loop, packet in transmit(buffers, assignments, slot):
                 delivered_total += 1

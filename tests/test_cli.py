@@ -38,6 +38,21 @@ class TestParseConfig:
         assert cfg.seed == 9
         assert cfg.horizon == 2000
 
+    # per key: (config-file value, flag value, the flag's parsed value)
+    FLAG_CASES = {"L": ("2,4", "6", (6,)), "horizon": ("2000", "3000", 3000),
+                  "replications": ("2", "3", 3), "seed": ("5", "9", 9),
+                  "theta": ("2", "0.5", 0.5), "out": ("a", "b", "b"),
+                  "cache": ("a", "b", "b"), "workers": ("2", "3", 3)}
+
+    @pytest.mark.parametrize("key", sorted(cli._KEY_PARSERS))
+    def test_every_key_has_a_flag_overriding_the_file(self, tmp_path, key):
+        file_value, flag_value, want = self.FLAG_CASES[key]
+        attr = cli._KEY_PARSERS[key][0]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={file_value}\n")
+        assert getattr(parse_config(["--config", str(path)]), attr) != want
+        assert getattr(parse_config(["--config", str(path), f"--{key}", flag_value]), attr) == want
+
     def test_zero_replications_names_field(self):
         with pytest.raises(ConfigError, match="replications"):
             parse_config(["--replications", "0"])

@@ -71,10 +71,7 @@ class TestScenarioGenerator:
 class TestScenarioValidation:
     def test_paths_must_be_keyed_by_loop_index(self):
         sc = make_two_hop_scenario(2, seed=0)
-        paths = {i + 1: path for i, path in sc.topology.paths.items()}
-        topo = dataclasses.replace(sc.topology, paths=paths,
-                                   src={i + 1: n for i, n in sc.topology.src.items()},
-                                   dst={i + 1: n for i, n in sc.topology.dst.items()})
+        topo = Topology(paths={i + 1: path for i, path in sc.topology.paths.items()})
         with pytest.raises(ValueError, match="0..L-1"):
             dataclasses.replace(sc, topology=topo)
 
@@ -95,12 +92,24 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="loop 1: .*scalar"):
             dataclasses.replace(sc, plants=plants)
 
-    @pytest.mark.parametrize("capacity, rate, field", [(0, 1, "capacity"), (1.5, 1, "capacity"),
-                                                       (2, 0, "rate"), (2, 1.0, "rate")])
-    def test_capacity_and_rate_must_be_positive_integers(self, capacity, rate, field):
+    @pytest.mark.parametrize("capacity", [0, 1.5])
+    def test_capacity_must_be_a_positive_integer(self, capacity):
         sc = make_two_hop_scenario(2, seed=0)
-        with pytest.raises(ValueError, match=field):
-            dataclasses.replace(sc, hop_groups=[HopGroup(0, capacity, rate), HopGroup(1, 2)])
+        with pytest.raises(ValueError, match="capacity"):
+            dataclasses.replace(sc, hop_groups=[HopGroup(0, capacity), HopGroup(1, 2)])
+
+    def test_class_labels_follow_the_plants(self):
+        plants = [PlantSpec(A=a, B=1.0, Z=1.0, Qx=1.0, Qu=0.0) for a in (0.5, 1.1, 0.9)]
+        topo = Topology(paths={i: ((f"s{i}", f"d{i}"),) for i in range(3)})
+        sc = Scenario(plants=plants, topology=topo, hop_groups=[HopGroup(0, 3)],
+                      slots_per_step=1, horizon=200, seed=1)
+        assert sc.class_labels == ["stable", "unstable", "stable"]
+        tables = {}
+        for p in plants:
+            cid = plant_class_id(p, design_lqg(p))
+            tables[cid] = ThresholdTable(lambdas=np.array([0.0, 1.0]),
+                                         thresholds=np.array([1.0, 1.0]), class_id=cid)
+        assert run(sc, tables).class_labels == ["stable", "unstable", "stable"]
 
 
 class TestRun:
@@ -150,11 +159,8 @@ class TestRun:
         spec = PlantSpec(A=0.75, B=1.0, Z=0.0, Qx=1.0, Qu=0.0)
         sol = design_lqg(spec)
         cid = plant_class_id(spec, sol)
-        links = [("s", "bs"), ("bs", "d")]
-        topo = Topology(nodes=frozenset(["s", "bs", "d"]),
-                        links=frozenset(links),
-                        paths={0: tuple(links)}, src={0: "s"}, dst={0: "d"})
-        sc = Scenario(plants=[spec], class_labels=["stable"], topology=topo,
+        topo = Topology(paths={0: (("s", "bs"), ("bs", "d"))})
+        sc = Scenario(plants=[spec], topology=topo,
                       hop_groups=[HopGroup(0, 2), HopGroup(1, 2)], slots_per_step=10,
                       horizon=500, seed=1)
         table = ThresholdTable(lambdas=np.array([0.0, 1.0]),
@@ -175,7 +181,6 @@ class TestRun:
         sc1 = make_two_hop_scenario(4, seed=9, horizon=1000)
         sc2 = make_two_hop_scenario(4, seed=9, horizon=1000)
         sc2.plants[0], sc2.plants[1] = sc2.plants[1], sc2.plants[0]
-        sc2.class_labels[0], sc2.class_labels[1] = sc2.class_labels[1], sc2.class_labels[0]
         m1 = run(sc1, tables)
         m2 = run(sc2, tables)
         for metric in ("rate_per_loop", "delay_per_loop", "cost_per_loop"):
@@ -200,12 +205,8 @@ class TestRun:
         horizon = 7000
         plants = ([PlantSpec(A=0.75, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)] * 2
                   + [PlantSpec(A=1.25, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)])
-        links = [(f"s{i}", f"d{i}") for i in range(3)]
-        topo = Topology(nodes=frozenset(n for link in links for n in link),
-                        links=frozenset(links), paths={i: (links[i],) for i in range(3)},
-                        src={i: f"s{i}" for i in range(3)}, dst={i: f"d{i}" for i in range(3)})
-        sc = Scenario(plants=plants, class_labels=["stable", "stable", "unstable"],
-                      topology=topo, hop_groups=[HopGroup(0, 1)], slots_per_step=1,
+        topo = Topology(paths={i: ((f"s{i}", f"d{i}"),) for i in range(3)})
+        sc = Scenario(plants=plants, topology=topo, hop_groups=[HopGroup(0, 1)], slots_per_step=1,
                       horizon=horizon, seed=1)
         force = np.zeros((horizon, 3), dtype=bool)
         force[:3300, :2] = True

@@ -35,19 +35,14 @@ def mixed_scenario(n: int, horizon: int, seed: int) -> Scenario:
     Hop capacities 3/1/2, so a tie tier larger than the remaining capacity
     of 3 exercises the sampled-without-replacement tie-break.
     """
-    plants, labels, paths, src, dst = [], [], {}, {}, {}
+    plants, paths = [], {}
     for i in range(n):
         a = 0.75 if i % 2 == 0 else 1.25
         plants.append(PlantSpec(A=a, B=1.0, Z=1.0, Qx=1.0, Qu=0.0))
-        labels.append("stable" if a < 1 else "unstable")
         s, d = f"s{i}", f"d{i}"
         paths[i] = ((s, "r1"), ("r1", "r2"), ("r2", d)) if i % 3 else ((s, d),)
-        src[i], dst[i] = s, d
-    topology = Topology(
-        nodes=frozenset({"r1", "r2"} | set(src.values()) | set(dst.values())),
-        links=frozenset(link for path in paths.values() for link in path),
-        paths=paths, src=src, dst=dst)
-    return Scenario(plants=plants, class_labels=labels, topology=topology,
+    topology = Topology(paths=paths)
+    return Scenario(plants=plants, topology=topology,
                     hop_groups=[HopGroup(0, 3), HopGroup(1, 1), HopGroup(2, 2)],
                     slots_per_step=10, horizon=horizon, seed=seed)
 

@@ -7,46 +7,24 @@ from hypothesis import strategies as st
 
 import engine_oracle
 from engine_oracle import differential_backlog
-from ncsim.network import (ActionSet, BufferSet, Packet, RateContractError,
-                           TieStream, Topology, assign_flow, pick_max_weight,
-                           stability_diagnostic, transmit, wsr_schedule)
+from ncsim.network import (ActionSet, BufferSet, Packet, TieStream, Topology,
+                           assign_flow, pick_max_weight, stability_diagnostic,
+                           transmit, wsr_schedule)
 
 
 def line_topology():
     """Two loops sharing a relay: s0/s1 -> relay -> d0/d1."""
-    links = [("s0", "r"), ("s1", "r"), ("r", "d0"), ("r", "d1")]
-    return Topology(
-        nodes=frozenset(["s0", "s1", "r", "d0", "d1"]),
-        links=frozenset(links),
-        paths={0: (("s0", "r"), ("r", "d0")), 1: (("s1", "r"), ("r", "d1"))},
-        src={0: "s0", 1: "s1"},
-        dst={0: "d0", 1: "d1"},
-    )
+    return Topology(paths={0: (("s0", "r"), ("r", "d0")), 1: (("s1", "r"), ("r", "d1"))})
 
 
 class TestTopology:
-    def test_path_nodes_excludes_target(self):
-        topo = line_topology()
-        assert topo.path_nodes(0) == ("s0", "r")
-
     def test_disconnected_path_rejected(self):
         with pytest.raises(ValueError, match="connected"):
-            Topology(nodes=frozenset("abc"),
-                     links=frozenset([("a", "b"), ("c", "b")]),
-                     paths={0: (("a", "b"), ("c", "b"))},
-                     src={0: "a"}, dst={0: "b"})
+            Topology(paths={0: (("a", "b"), ("c", "b"))})
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="revisits"):
-            Topology(nodes=frozenset("ab"),
-                     links=frozenset([("a", "b"), ("b", "a")]),
-                     paths={0: (("a", "b"), ("b", "a"))},
-                     src={0: "a"}, dst={0: "a"})
-
-    def test_unknown_link_rejected(self):
-        with pytest.raises(ValueError, match="not in topology"):
-            Topology(nodes=frozenset("ab"), links=frozenset(),
-                     paths={0: (("a", "b"),)}, src={0: "a"}, dst={0: "b"})
+            Topology(paths={0: (("a", "b"), ("b", "a"))})
 
 
 class TestCcAdmit:
@@ -54,8 +32,8 @@ class TestCcAdmit:
         buffers = BufferSet(line_topology())
         buffers.cc_push(Packet(0, 0, 1.5))
         assert buffers.cc_admit(0) == 1
-        assert buffers.cc_backlog(0) == 0
-        assert buffers.tx_backlog("s0", 0) == 1
+        assert buffers.cc[0] == 0
+        assert buffers.backlog[0][0] == 1
 
     def test_empty_admits_nothing(self):
         buffers = BufferSet(line_topology())
@@ -66,7 +44,7 @@ class TestCcAdmit:
         for k in range(3):
             buffers.cc_push(Packet(0, k, 0.0))
         assert buffers.cc_admit(0) == 3
-        assert buffers.tx_backlog("s0", 0) == 3
+        assert buffers.backlog[0][0] == 3
 
 
 def source_queue_after(y, r, mu):
@@ -76,8 +54,8 @@ def source_queue_after(y, r, mu):
         for _ in range(count):
             buffers.cc_push(Packet(0, 0, 0.0))
         buffers.cc_admit(0)
-    transmit(buffers, [(("s0", "r"), 0, mu)], slot=0)
-    return buffers.tx_backlog("s0", 0), buffers.tx_backlog("r", 0)
+    transmit(buffers, [(0, 0, mu)], slot=0)
+    return buffers.backlog[0][0], buffers.backlog[1][0]
 
 
 class TestLindley:
@@ -274,46 +252,41 @@ class TestTransmit:
 
     def test_fifo_pop_respects_rate(self):
         buffers = self.setup_buffers()
-        delivered = transmit(buffers, [(("s0", "r"), 0, 1)], slot=0)
+        delivered = transmit(buffers, [(0, 0, 1)], slot=0)
         assert delivered == []
-        assert buffers.tx_backlog("s0", 0) == 1
-        assert buffers.tx_backlog("r", 0) == 1
+        assert buffers.backlog[0][0] == 1
+        assert buffers.backlog[1][0] == 1
         # the moved packet is the oldest one
-        delivered = transmit(buffers, [(("r", "d0"), 0, 1)], slot=1)
+        delivered = transmit(buffers, [(1, 0, 1)], slot=1)
         assert [p.birth_step for _, p in delivered] == [0]
 
     def test_empty_buffer_no_movement(self):
         buffers = BufferSet(line_topology())
-        assert transmit(buffers, [(("s0", "r"), 0, 5)], slot=0) == []
+        assert transmit(buffers, [(0, 0, 5)], slot=0) == []
 
     def test_relayed_data_waits_one_slot(self):
         buffers = self.setup_buffers()
-        transmit(buffers, [(("s0", "r"), 0, 1)], slot=4)
+        transmit(buffers, [(0, 0, 1)], slot=4)
         # arrived at the relay during slot 4: not transmittable until slot 5
-        assert transmit(buffers, [(("r", "d0"), 0, 1)], slot=4) == []
-        delivered = transmit(buffers, [(("r", "d0"), 0, 1)], slot=5)
+        assert transmit(buffers, [(1, 0, 1)], slot=4) == []
+        delivered = transmit(buffers, [(1, 0, 1)], slot=5)
         assert [p.birth_step for _, p in delivered] == [0]
 
     def test_delivery_at_target_is_emitted_not_buffered(self):
         buffers = self.setup_buffers()
-        transmit(buffers, [(("s0", "r"), 0, 2)], slot=0)
-        delivered = transmit(buffers, [(("r", "d0"), 0, 2)], slot=1)
+        transmit(buffers, [(0, 0, 2)], slot=0)
+        delivered = transmit(buffers, [(1, 0, 2)], slot=1)
         assert len(delivered) == 2
-        assert buffers.tx_backlog("d0", 0) == 0  # target buffers do not exist
-
-    def test_rate_contract_violation(self):
-        buffers = self.setup_buffers()
-        with pytest.raises(RateContractError):
-            transmit(buffers, [(("s0", "r"), 0, 3)], slot=0,
-                     link_capacity={("s0", "r"): 2})
+        assert [row[0] for row in buffers.backlog] == [0, 0, 0]  # target buffers do not exist
+        assert buffers.resident() == 0
 
     def test_source_admission_same_slot_allowed(self):
         buffers = BufferSet(line_topology())
         buffers.cc_push(Packet(0, 0, 0.0))
         buffers.cc_admit(0)
-        delivered = transmit(buffers, [(("s0", "r"), 0, 1)], slot=9)
+        delivered = transmit(buffers, [(0, 0, 1)], slot=9)
         assert delivered == []
-        assert buffers.tx_backlog("r", 0) == 1
+        assert buffers.backlog[1][0] == 1
 
 
 def relay_topology(hops: list) -> Topology:
@@ -322,10 +295,7 @@ def relay_topology(hops: list) -> Topology:
     for i, h in enumerate(hops):
         nodes = [f"s{i}", "r1", "r2"][:h] + [f"d{i}"]
         paths[i] = tuple(zip(nodes, nodes[1:]))
-    return Topology(nodes=frozenset(n for path in paths.values() for link in path for n in link),
-                    links=frozenset(link for path in paths.values() for link in path),
-                    paths=paths, src={i: path[0][0] for i, path in paths.items()},
-                    dst={i: path[-1][1] for i, path in paths.items()})
+    return Topology(paths=paths)
 
 
 assignment_lists = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3)),
@@ -341,20 +311,22 @@ class TestCountsTransport:
     @settings(max_examples=300, deadline=None)
     @given(hops=st.lists(st.integers(1, 3), min_size=1, max_size=4), rounds=slot_rounds)
     def test_matches_deque_transport(self, hops, rounds):
-        """Same deliveries, backlogs and residents as the deque buffers after
-        every call, and diff rows equal to [B_p - B_p+1]+ of their lengths."""
+        """Same deliveries and residents as the deque buffers after every call,
+        each loop's backlog column equal to its deque lengths along the path
+        (zero past it), and diff rows equal to [B_p - B_p+1]+ of those."""
         topo = relay_topology(hops)
         new, old = BufferSet(topo), engine_oracle.BufferSet(topo)
 
         def assert_same_state():
             assert new.resident() == old.resident()
             lengths = []
-            for i, h in enumerate(hops):
-                assert new.cc_backlog(i) == old.cc_backlog(i)
-                for node in topo.path_nodes(i) + (topo.dst[i],):
-                    assert new.tx_backlog(node, i) == old.tx_backlog(node, i)
-                lengths.append([old.tx_backlog(node, i) for node in topo.path_nodes(i)]
-                               + [0] * (4 - h))
+            for i, path in topo.paths.items():
+                assert new.cc[i] == old.cc_backlog(i)
+                assert (path[-1][1], i) not in old.tx  # no buffer at the target
+                want = ([old.tx_backlog(m, i) for m, _ in path]
+                        + [0] * (len(new.backlog) - len(path)))
+                assert [row[i] for row in new.backlog] == want
+                lengths.append(want)
             for p, row in enumerate(new.diff):
                 assert row == [differential_backlog(q[p], q[p + 1]) for q in lengths]
 
@@ -371,12 +343,14 @@ class TestCountsTransport:
                 assert new.cc_admit(loop) == old.cc_admit(loop, slot)
                 assert_same_state()
             for call in calls:
-                assignments = []
+                positions, links = [], []
                 for p, loop, rate in call:
                     loop %= len(hops)
-                    assignments.append((topo.paths[loop][p % hops[loop]], loop, rate))
-                got = transmit(new, assignments, slot)
-                want = engine_oracle.transmit(old, assignments, slot)
+                    p %= hops[loop]
+                    positions.append((p, loop, rate))
+                    links.append((topo.paths[loop][p], loop, rate))
+                got = transmit(new, positions, slot)
+                want = engine_oracle.transmit(old, links, slot)
                 assert ([(i, pk.birth_step, pk.payload) for i, pk in got]
                         == [(i, pk.birth_step, pk.payload) for i, pk in want])
                 assert_same_state()
