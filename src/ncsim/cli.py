@@ -220,14 +220,13 @@ def _write_csv(path: str, rows, header) -> None:
 def write_metric_csvs(result: SweepResult, out_dir: str) -> list:
     """One CSV per metric plus summary.csv; returns the file paths."""
     os.makedirs(out_dir, exist_ok=True)
-    classes = ["all"] + [c for c in result.class_order if c != "all"]
     header = ["L", "class", "mean", "ci95_halfwidth", "replications"]
     written = []
     summary_rows = []
     for metric in METRIC_NAMES:
         rows = []
         for L in result.L_values:
-            for cls in classes:
+            for cls in result.class_order:
                 cell = result.cell(L, cls, metric)
                 row = [str(L), cls, _format_value(cell.mean),
                        _format_value(cell.ci95), str(cell.n)]

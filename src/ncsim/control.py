@@ -13,10 +13,11 @@ and the residual cost of *not* refreshing the estimate is weighted by
 so the achievable cost floor with perfect state knowledge is Tr(P Z).
 
 The estimator is model based: it coasts on (A - B K) between packet
-deliveries, snaps to the delivered sample, and replays the inputs it
-applied since the sample was taken when the delivery arrives late.  The
-per-period plant, estimator and error updates of scalar loops run inline in
-`engine.run`; the late-delivery replay is `estimator_deliver`.
+deliveries and snaps to the delivered sample.  When the delivery arrives
+late, it rolls the sample forward by its own model, z <- A z + B u, through
+each input applied since the sample was taken.  The per-period plant,
+estimator and error updates of scalar loops run inline in `engine.run`; the
+late-delivery roll-forward is `estimator_deliver`.
 """
 
 from __future__ import annotations
@@ -148,22 +149,17 @@ def design_lqg(spec: PlantSpec) -> LqgSolution:
     return compute_gain(solve_riccati(spec), spec)
 
 
-def estimator_deliver(a: float, b: float, powers: np.ndarray, x_sampled: float,
-                      inputs: np.ndarray) -> float:
+def estimator_deliver(a: float, b: float, x_sampled: float, inputs) -> float:
     """Estimate now from a sample delayed by d = len(inputs) steps.
 
-    Zero delay returns the sample itself; otherwise the sample is rolled
-    forward open loop through the inputs the controller actually applied,
-    in closed form: a^d x + sum_j a^(d-1-j) b u_j.  `powers` ends in
-    a^(d-1), ..., a^0, and the dot-product form keeps long replays (heavily
-    congested runs) from dominating the runtime.
+    The sample is rolled forward open loop through the inputs the controller
+    actually applied since it was taken, z <- a z + b u once per elapsed
+    period; with no inputs (zero delay) the estimate is the sample itself.
     """
-    d = len(inputs)
-    if d == 0:
-        return x_sampled
-    if d == 1:
-        return a * x_sampled + b * inputs[0]
-    return (a ** d) * x_sampled + b * float(powers[-d:] @ inputs)
+    z = x_sampled
+    for u in inputs:
+        z = a * z + b * u
+    return z
 
 
 class InputLog:
@@ -171,8 +167,8 @@ class InputLog:
 
     record(step, u) stores all loops' inputs of one step, in step order.
     prune(loop, step) drops the loop's inputs before `step`, which is safe
-    once a sample born at `step` has been applied because older deliveries
-    are discarded as stale.
+    once a sample born at `step` has been applied, because a loop's samples
+    are delivered in birth order.
     """
 
     def __init__(self, loops: int, horizon: int):

@@ -170,7 +170,6 @@ def _loop_rng_seed(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, key]))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         force_delta: np.ndarray | None = None, record_errors: bool = False,
         check_conservation: bool = False) -> RunMetrics:
@@ -179,8 +178,8 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     `tables` maps plant class ids to ThresholdTable.  `force_delta`, when
     given as a (horizon, L) boolean array, overrides the threshold sampler
     (used by oracle tests).  Raises NonFiniteError, naming the loops, if a
-    plant state or cost overflowed; NumPy's overflow and invalid-value
-    warnings are silenced for the run, since that error reports them.
+    plant state or cost overflowed; loop state is Python floats, which
+    overflow to inf and nan without a warning.
     """
     if not 0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
@@ -190,7 +189,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     spst = scenario.slots_per_step
     warmup = int(horizon * WARMUP_FRAC)
 
-    a = np.array([p.A[0, 0] for p in plants])  # NumPy scalars, so a ** d overflows to inf
+    a = [float(p.A[0, 0]) for p in plants]
     b = [float(p.B[0, 0]) for p in plants]
     per_plant = {}  # plant parameters -> (-K, threshold row of the plant's class)
     loops = []  # per loop: (index, a, b, -K, threshold row, Qx, Qu)
@@ -205,7 +204,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             # holds at most one packet per elapsed period
             row = tables[cid].lookup_many(theta * np.arange(horizon + 1)).tolist()
             per_plant[key] = (-float(sol.K[0, 0]), row)
-        loops.append((i, float(a[i]), b[i], *per_plant[key],
+        loops.append((i, a[i], b[i], *per_plant[key],
                       float(p.Qx[0, 0]), float(p.Qu[0, 0])))
 
     # one noise stream per loop, one more for scheduler tie-breaks
@@ -214,15 +213,10 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         noise[:, i] = _loop_rng_seed(scenario.seed, i).normal(0.0, math.sqrt(p.Z[0, 0]), horizon)
     ties = TieStream(_loop_rng_seed(scenario.seed, _TIE_STREAM).bit_generator)
 
-    # per plant class a^j for j = horizon-1 .. 0, sliced by estimator_deliver;
-    # a power past the float range is inf and read only by a replay that deep
-    powers = {ai: ai ** np.arange(horizon - 1, -1, -1, dtype=float) for ai in set(a.tolist())}
-
     x = [0.0] * L
     xhat = [0.0] * L
     err = [0.0] * L
     input_log = InputLog(L, horizon)
-    last_applied = [-1] * L
     # loop -> its newest delivered packet not yet applied; queues are FIFO,
     # so a loop's last delivery is its newest
     newest: dict = {}
@@ -257,15 +251,11 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             m = slot // spst
             if m > 0:
                 # close period m-1: deliveries first, then the input they inform
-                for i in sorted(newest):
-                    _, birth, payload = newest[i]
-                    if birth > last_applied[i]:
-                        inputs = input_log.window(i, birth, m - 1)
-                        xhat[i] = float(estimator_deliver(a[i], b[i], powers[a[i]],
-                                                          payload, inputs))
-                        last_applied[i] = birth
-                        input_log.prune(i, birth)
-                        resets[i] = birth == m - 1
+                for i, (_, birth, payload) in newest.items():
+                    inputs = input_log.window(i, birth, m - 1).tolist()
+                    xhat[i] = estimator_deliver(a[i], b[i], payload, inputs)
+                    input_log.prune(i, birth)
+                    resets[i] = birth == m - 1
                 newest.clear()
                 w = noise[m - 1].tolist()
                 costed = m - 1 >= warmup
@@ -347,8 +337,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     if overflowed:
         raise NonFiniteError(f"plant state or cost is not finite on loops "
                              f"{overflowed} (seed {scenario.seed})")
-    diverging = np.array([stability_diagnostic(backlog_trace[:, i]).diverging
-                          for i in range(L)])
+    diverging = stability_diagnostic(backlog_trace)
     return RunMetrics(
         class_labels=list(scenario.class_labels),
         injected=np.array(injected, dtype=float),
@@ -414,6 +403,7 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
     L_values = list(L_values)
     tasks = [(master_seed, L, rep, horizon, theta, tables)
              for L in L_values for rep in range(replications)]
+    workers = min(workers, len(tasks))  # a pool starts all its workers at the first submit
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_one_sweep_task, tasks))

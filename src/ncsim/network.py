@@ -293,27 +293,19 @@ def transmit(buffers: BufferSet, assignments: Sequence, slot: int) -> list:
     return delivered
 
 
-@dataclass(frozen=True)
-class BacklogDiagnostic:
-    mean: float
-    diverging: bool
+def stability_diagnostic(trace) -> np.ndarray:
+    """Per column of a (steps, loops) backlog trace, a linear-growth flag.
 
-
-def stability_diagnostic(trace: Sequence[float]) -> BacklogDiagnostic:
-    """Time-average backlog plus a linear-growth flag.
-
-    The trace is flagged as diverging when the average over its second half
-    exceeds twice the average over the first half.
+    A column is flagged as diverging when its average over the second half
+    of the steps exceeds twice its average over the first half.
     """
-    arr = np.asarray(trace, dtype=float)
-    if arr.size == 0:
+    arr = np.asarray(trace)
+    if arr.shape[0] == 0:
         raise ValueError("backlog trace is empty")
-    mean = float(arr.mean())
-    half = arr.size // 2
-    diverging = False
-    if half >= 1:
-        first = float(arr[:half].mean())
-        second = float(arr[arr.size - half:].mean())
-        diverging = second > 2.0 * first and second > 0.0
-    return BacklogDiagnostic(mean=mean, diverging=diverging)
-
+    half = arr.shape[0] // 2
+    if half == 0:
+        return np.zeros(arr.shape[1:], dtype=bool)
+    # the half-averages as np.mean forms them, without a float copy of the trace
+    first = arr[:half].sum(axis=0) / half
+    second = arr[arr.shape[0] - half:].sum(axis=0) / half
+    return (second > 2.0 * first) & (second > 0.0)

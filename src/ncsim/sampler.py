@@ -189,10 +189,10 @@ class _ErrorGridMdp:
 
 def _solve_threshold(lam: float, mdp: _ErrorGridMdp, cfg: ViConfig,
                      h0: np.ndarray | None = None):
-    """Relative value iteration; returns (threshold, h, average_cost, iters)."""
+    """Relative value iteration; returns (threshold, h)."""
     h = np.zeros(mdp.n) if h0 is None else h0.copy()
     span = math.inf
-    for it in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         eh_stay = mdp.expected_value(h, mdp.stay_lo, mdp.stay_fr)
         eh_send = float(mdp.expected_value(h, mdp.send_lo, mdp.send_fr))
         stay = mdp.stay_cost + eh_stay
@@ -201,7 +201,6 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, cfg: ViConfig,
         th = 0.5 * (th + th[::-1])  # dynamics and costs are even in e
         diff = th - h
         span = float(diff.max() - diff.min())
-        avg_cost = 0.5 * float(diff.max() + diff.min())
         h = th - th[mdp.mid]
         if span <= cfg.span_tol:
             break
@@ -226,7 +225,7 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, cfg: ViConfig,
         threshold = float(mdp.grid[mdp.mid + first])
     else:
         threshold = float(mdp.cfg.e_max)
-    return threshold, h, avg_cost, it
+    return threshold, h
 
 
 def _plant_mdp(spec: PlantSpec, sol: LqgSolution, cfg: ViConfig) -> _ErrorGridMdp:
@@ -242,8 +241,7 @@ def design_threshold(lam: float, spec: PlantSpec, sol: LqgSolution,
     if lam < 0:
         raise ValueError("price must be non-negative")
     mdp = _plant_mdp(spec, sol, cfg)
-    threshold, _, _, _ = _solve_threshold(lam, mdp, cfg)
-    return threshold
+    return _solve_threshold(lam, mdp, cfg)[0]
 
 
 def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
@@ -263,7 +261,7 @@ def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
     thresholds = np.empty_like(lams)
     h = None
     for i, lam in enumerate(lams):
-        thresholds[i], h, _, _ = _solve_threshold(float(lam), mdp, cfg, h0=h)
+        thresholds[i], h = _solve_threshold(float(lam), mdp, cfg, h0=h)
     thresholds = np.maximum.accumulate(thresholds)
     return ThresholdTable(lambdas=lams, thresholds=thresholds,
                           class_id=plant_class_id(spec, sol))

@@ -5,13 +5,14 @@ the same scenario, tables and options the two engines must return identical
 `RunMetrics` (tests/test_engine_parity.py), and the count table of
 `ncsim.network.BufferSet` must match these deque buffers after every call
 (tests/test_network.py).  The deque `BufferSet`, `Packet`, `transmit`, the
-list `InputLog`, `_replay_scalar`, `differential_backlog` and `RunMetrics`
-are copied verbatim from that version, so the oracle imports nothing the
-counts-based transport changed.  Since `Topology` holds only the paths, the
-oracle reads each loop's source, target and path nodes off
-`topology.paths`, defines its own `RateContractError`, and moves one packet
-per scheduled link and slot, the only rate hop groups take; its logic is
-unchanged.  Not a test module itself.
+list `InputLog`, `differential_backlog`, `RunMetrics` and the per-trace
+`stability_diagnostic` are copied verbatim from earlier versions, so the
+oracle imports nothing the engine has since changed.  `_replay_scalar`
+rolls a late sample forward step by step, the estimator's recursion.  Since
+`Topology` holds only the paths, the oracle reads each loop's source,
+target and path nodes off `topology.paths`, defines its own
+`RateContractError`, and moves one packet per scheduled link and slot, the
+only rate hop groups take; its logic is unchanged.  Not a test module itself.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from ncsim.control import ReplayError, design_lqg
 from ncsim.engine import _TIE_STREAM, _loop_rng_seed
-from ncsim.network import Topology, stability_diagnostic
+from ncsim.network import Topology
 from ncsim.sampler import plant_class_id
 
 
@@ -215,18 +216,39 @@ class RunMetrics:
 
 
 def _replay_scalar(a: float, b: float, x_sampled: float, inputs) -> float:
-    """Closed-form scalar delivery replay: a^d x + sum_j a^(d-1-j) b u_j.
+    """Scalar delivery replay: roll the sample forward z = a z + b u, input by input.
 
-    Matches control.estimator_deliver; the dot-product form keeps long
-    replays (heavily congested runs) from dominating the runtime.
+    Matches control.estimator_deliver, operation for operation.
     """
-    d = len(inputs)
-    if d == 0:
-        return x_sampled
-    if d == 1:
-        return a * x_sampled + b * inputs[0]
-    powers = a ** np.arange(d - 1, -1, -1, dtype=float)
-    return (a ** d) * x_sampled + b * float(powers @ np.asarray(inputs, dtype=float))
+    z = x_sampled
+    for u in inputs:
+        z = a * z + b * u
+    return z
+
+
+@dataclass(frozen=True)
+class BacklogDiagnostic:
+    mean: float
+    diverging: bool
+
+
+def stability_diagnostic(trace: Sequence[float]) -> BacklogDiagnostic:
+    """Time-average backlog plus a linear-growth flag.
+
+    The trace is flagged as diverging when the average over its second half
+    exceeds twice the average over the first half.
+    """
+    arr = np.asarray(trace, dtype=float)
+    if arr.size == 0:
+        raise ValueError("backlog trace is empty")
+    mean = float(arr.mean())
+    half = arr.size // 2
+    diverging = False
+    if half >= 1:
+        first = float(arr[:half].mean())
+        second = float(arr[arr.size - half:].mean())
+        diverging = second > 2.0 * first and second > 0.0
+    return BacklogDiagnostic(mean=mean, diverging=diverging)
 
 
 def run(scenario, tables: dict, theta: float = 1.0,

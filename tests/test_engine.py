@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsim import engine
 from ncsim.cli import RunConfig, load_or_build_tables
 from ncsim.control import PlantSpec, design_lqg
 from ncsim.engine import (HopGroup, NonFiniteError, Scenario,
@@ -290,6 +291,30 @@ class TestSweep:
         assert serial.metrics.keys() == parallel.metrics.keys()
         for key in serial.metrics:
             assert serial.metrics[key] == parallel.metrics[key]
+
+    def test_pool_has_no_more_workers_than_tasks(self, tables, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and runs the tasks in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        sweep([2], replications=2, master_seed=8, tables=tables, horizon=200, workers=8)
+        assert sizes == [2]
+        sweep([2], replications=1, master_seed=8, tables=tables, horizon=200, workers=8)
+        assert sizes == [2]  # one task runs in-process
 
     def test_run_seed_is_stable(self):
         assert run_seed(1, 10, 3) == run_seed(1, 10, 3)

@@ -358,21 +358,21 @@ class TestCountsTransport:
 
 class TestStabilityDiagnostic:
     def test_constant_trace(self):
-        diag = stability_diagnostic([2, 2, 2])
-        assert diag.mean == 2.0
-        assert not diag.diverging
-
-    def test_ramp_mean(self):
-        assert stability_diagnostic([0, 1, 2, 3]).mean == 1.5
+        assert not stability_diagnostic([[2], [2], [2]])[0]
 
     def test_linear_growth_flagged(self):
-        trace = np.arange(1000, dtype=float)
-        assert stability_diagnostic(trace).diverging
+        trace = np.arange(1000, dtype=float)[:, None]
+        assert stability_diagnostic(trace)[0]
 
     def test_stationary_noise_not_flagged(self):
         rng = np.random.default_rng(0)
-        trace = np.abs(rng.normal(5, 1, size=1000))
-        assert not stability_diagnostic(trace).diverging
+        trace = np.abs(rng.normal(5, 1, size=(1000, 1)))
+        assert not stability_diagnostic(trace)[0]
+
+    def test_one_flag_per_column(self):
+        rng = np.random.default_rng(0)
+        trace = np.column_stack([np.abs(rng.normal(5, 1, size=1000)), np.arange(1000)])
+        assert stability_diagnostic(trace).tolist() == [False, True]
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
