@@ -58,29 +58,29 @@ class RunConfig:
             raise ConfigError(f"seed: must be a non-negative integer, got {self.seed}")
         if not self.L_values:
             raise ConfigError("L: list must not be empty")
-        for L in self.L_values:
+        for k, L in enumerate(self.L_values):
             if L < 2 or L % 2 != 0:
                 raise ConfigError(f"L: values must be even and >= 2, got {L}")
+            if L in self.L_values[:k]:
+                raise ConfigError(f"L: values must be distinct, got {L} twice")
         if self.workers < 1:
             raise ConfigError("workers: must be at least 1")
 
 
 def _parse_L_list(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"L: {exc}") from None
+    return tuple(int(part) for part in text.replace(",", " ").split())
 
 
+# config key (also the flag --<key>) -> (RunConfig field, parser, flag help)
 _KEY_PARSERS = {
-    "L": ("L_values", _parse_L_list),
-    "horizon": ("horizon", int),
-    "replications": ("replications", int),
-    "seed": ("seed", int),
-    "theta": ("theta", float),
-    "out": ("out_dir", str),
-    "cache": ("cache_dir", str),
-    "workers": ("workers", int),
+    "L": ("L_values", _parse_L_list, "comma-separated even loop counts"),
+    "horizon": ("horizon", int, "control steps per run"),
+    "replications": ("replications", int, "independent runs per L"),
+    "seed": ("seed", int, "master seed"),
+    "theta": ("theta", float, "backlog-to-price scale"),
+    "out": ("out_dir", str, "output directory for CSV files"),
+    "cache": ("cache_dir", str, "threshold table cache directory"),
+    "workers": ("workers", int, "parallel sweep workers"),
 }
 
 _VI_KEYS = {
@@ -110,11 +110,9 @@ def _apply_entries(cfg: RunConfig, entries: dict) -> RunConfig:
     vi_kwargs = {}
     for key, value in entries.items():
         if key in _KEY_PARSERS:
-            attr, parser = _KEY_PARSERS[key]
+            attr, parser, _ = _KEY_PARSERS[key]
             try:
                 cfg = replace(cfg, **{attr: parser(value)})
-            except ConfigError:
-                raise
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
         elif key in _VI_KEYS:
@@ -141,14 +139,8 @@ def _build_argparser() -> argparse.ArgumentParser:
         description="Co-simulate event-triggered control loops over a "
                     "back-pressure scheduled two-hop network.")
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--L", help="comma-separated even loop counts")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--replications", type=int, help="independent runs per L")
-    parser.add_argument("--horizon", type=int, help="control steps per run")
-    parser.add_argument("--out", help="output directory for CSV files")
-    parser.add_argument("--theta", type=float, help="backlog-to-price scale")
-    parser.add_argument("--cache", help="threshold table cache directory")
-    parser.add_argument("--workers", type=int, help="parallel sweep workers")
+    for key, (_, _, text) in _KEY_PARSERS.items():
+        parser.add_argument(f"--{key}", help=text)  # parsed as the file's key=value is
     return parser
 
 
@@ -160,8 +152,8 @@ def parse_config(argv=None) -> RunConfig:
         if not os.path.exists(args.config):
             raise ConfigError(f"config: file not found: {args.config}")
         cfg = _apply_entries(cfg, _read_config_file(args.config))
-    flags = {key: str(getattr(args, key)) for key in _KEY_PARSERS
-             if getattr(args, key) is not None}  # each key's flag is --<key>
+    flags = {key: getattr(args, key) for key in _KEY_PARSERS
+             if getattr(args, key) is not None}
     cfg = _apply_entries(cfg, flags)
     cfg.validate()
     return cfg

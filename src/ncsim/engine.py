@@ -304,15 +304,17 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         # back-pressure slot: pick per-hop winners by weight, move packets
         if injected_total == delivered_total:
             continue  # all buffers empty, nothing to schedule
+        # a pick has positive weight [B_p - B_p+1]+, so it moves one packet: a
+        # source pick lowers the source backlog by one from the next slot on
+        remaining = total_slots - max(slot + 1, warmup_slot)
         assignments = []
-        leaving = []  # (loop, source backlog before the move) of loops sent from the source
         for pos, weights, capacity in sched:
             for i in pick_max_weight(weights, capacity, ties):
-                assignments.append((pos, i, 1))
+                assignments.append((pos, i))
                 if pos == 0:
-                    leaving.append((i, q0[i]))
+                    backlog_acc[i] -= remaining
         if assignments:
-            for loop, packet in transmit(buffers, assignments, slot):
+            for loop, packet in transmit(buffers, assignments):
                 delivered_total += 1
                 newest[loop] = packet
                 birth = packet.birth_step
@@ -321,9 +323,6 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                 if birth >= warmup:
                     delivered_cnt[loop] += 1
                     delay_sum[loop] += m - birth  # whole periods since the sample
-            remaining = total_slots - max(slot + 1, warmup_slot)
-            for i, before in leaving:
-                backlog_acc[i] += (q0[i] - before) * remaining
 
         if check_conservation:
             if injected_total != delivered_total + buffers.resident():
@@ -391,7 +390,7 @@ def _one_sweep_task(args):
         "delay": metrics.class_means(metrics.delay_per_loop),
         "cost": metrics.class_means(metrics.cost_per_loop),
     }
-    return L, rep, per_metric, bool(metrics.diverging.any())
+    return per_metric, bool(metrics.diverging.any())
 
 
 def sweep(L_values, replications: int, master_seed: int, tables: dict,
@@ -401,6 +400,8 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
     if replications < 1:
         raise ValueError("need at least one replication")
     L_values = list(L_values)
+    if len(set(L_values)) < len(L_values):
+        raise ValueError(f"L_values must be distinct, got {L_values}")
     tasks = [(master_seed, L, rep, horizon, theta, tables)
              for L in L_values for rep in range(replications)]
     workers = min(workers, len(tasks))  # a pool starts all its workers at the first submit
@@ -410,17 +411,12 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
     else:
         raw = [_one_sweep_task(t) for t in tasks]
 
-    by_L: dict = {L: [] for L in L_values}
-    diverging = {L: False for L in L_values}
-    for L, rep, per_metric, div in raw:
-        by_L[L].append((rep, per_metric))
-        diverging[L] = diverging[L] or div
-
-    result = SweepResult(L_values=L_values, replications=replications,
-                         diverging=diverging)
+    result = SweepResult(L_values=L_values, replications=replications)
     classes_seen: list = []
-    for L in L_values:
-        rows = [pm for _, pm in sorted(by_L[L], key=lambda item: item[0])]
+    for k, L in enumerate(L_values):
+        runs = raw[k * replications:(k + 1) * replications]  # map keeps the task order
+        rows = [per_metric for per_metric, _ in runs]
+        result.diverging[L] = any(div for _, div in runs)
         for metric in METRIC_NAMES:
             classes = list(rows[0][metric].keys())
             for cls in classes:

@@ -4,7 +4,8 @@ Each loop has one fixed path, and a hop is addressed by its position on
 that path: hop 0 leaves the source, the path's last hop reaches the target.
 Packets are unit-size and FIFO per loop, so every queue is an integer count
 that `BufferSet` keeps per (position, loop), with its differential backlog
-[B_p - B_p+1]+, as Lindley dynamics move packets.  Congestion control is
+[B_p - B_p+1]+, as Lindley dynamics move packets: each scheduled link moves
+one packet per slot, downstream hops first.  Congestion control is
 pass-through (the network-aware sampler already throttles injection), and
 per-slot link use is decided by back-pressure: flows are prioritized by
 differential backlog and the joint action maximizes the weighted sum rate
@@ -60,10 +61,8 @@ class BufferSet:
     congestion control, not yet admitted to position 0.  A loop's resident
     packets, CC buffer included, form one deque in birth order, whose head
     is the next to be delivered.  Admitted data is transmittable in the
-    admission slot, data received over a link only from the next slot:
-    arrived[p][i] = (slot, count) stamps the latest arrivals at position p.
-    Slots never decrease.  Destination buffers do not exist; arrivals there
-    are handed straight up.
+    admission slot, data relayed by `transmit` only from its next call.
+    Destination buffers do not exist; arrivals there are handed straight up.
     """
 
     def __init__(self, topology: Topology):
@@ -72,7 +71,6 @@ class BufferSet:
         hops = max(self.last, default=-1) + 1
         self.backlog = [[0] * len(loops) for _ in range(hops + 1)]
         self.diff = [[0] * len(loops) for _ in range(hops)]
-        self.arrived = [[(None, 0)] * len(loops) for _ in range(hops)]
         self.packets = [deque() for _ in loops]
         self.cc = [0] * len(loops)
 
@@ -260,33 +258,28 @@ def wsr_schedule(link_state, link_weights: Mapping, action_set: ActionSet,
     return ScheduleChoice(action=action, rates=rates, value=best_value)
 
 
-def transmit(buffers: BufferSet, assignments: Sequence, slot: int) -> list:
-    """Move packets for one slot; returns [(loop, packet)] delivered packets.
+def transmit(buffers: BufferSet, assignments: Sequence) -> list:
+    """Move one packet per scheduled link; returns [(loop, packet)] delivered packets.
 
-    `assignments` is a sequence of (hop, loop, rate), `hop` the position on
-    the loop's path.  Whole packets move FIFO, at most floor(rate) per
-    assignment, and only packets already transmittable this slot (relayed
-    data waits one slot).  Packets that leave the path's last hop reach the
-    loop's target and are emitted, never buffered.
+    `assignments` is a sequence of (hop, loop) pairs, `hop` the position on
+    the loop's path.  Each pair moves the loop's oldest packet at that hop
+    one hop on, if the buffer there holds one.  Pairs run downstream first,
+    so a packet relayed in this call waits for the next one.  Packets that
+    leave the path's last hop reach the loop's target and are emitted, never
+    buffered.
     """
     delivered = []
-    backlog, diff, arrived = buffers.backlog, buffers.diff, buffers.arrived
+    backlog, diff = buffers.backlog, buffers.diff
     hops = len(diff)
-    for p, loop, rate in assignments:
+    for p, loop in sorted(assignments, reverse=True):
         here = backlog[p]
-        stamp, fresh = arrived[p][loop]
-        moved = min(int(rate), here[loop] - fresh if stamp == slot else here[loop])
-        if moved <= 0:
+        if not here[loop]:
             continue
-        here[loop] -= moved
+        here[loop] -= 1
         if p == buffers.last[loop]:
-            pop = buffers.packets[loop].popleft
-            for _ in range(moved):
-                delivered.append((loop, pop()))
+            delivered.append((loop, buffers.packets[loop].popleft()))
         else:
-            backlog[p + 1][loop] += moved
-            stamp, fresh = arrived[p + 1][loop]
-            arrived[p + 1][loop] = (slot, fresh + moved if stamp == slot else moved)
+            backlog[p + 1][loop] += 1
         for q in range(p - 1 if p else 0, min(p + 2, hops)):  # weights reading hop p or p+1
             gap = backlog[q][loop] - backlog[q + 1][loop]
             diff[q][loop] = gap if gap > 0 else 0

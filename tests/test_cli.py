@@ -71,6 +71,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="L"):
             parse_config(["--L", "2,3"])
 
+    def test_repeated_L_names_the_value(self):
+        with pytest.raises(ConfigError, match="^L: .*got 4 twice"):
+            parse_config(["--L", "2,4,6,4"])
+
     def test_non_finite_theta_names_field(self):
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match="theta"):
@@ -182,6 +186,23 @@ class TestRunExperiment:
             assert rc == EXIT_CONFIG_ERROR
             assert entry.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_repeated_L_exits_before_tables(self, tmp_path, monkeypatch, capsys):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("tables built for an invalid config")
+        monkeypatch.setattr(cli, "build_table", no_tables)
+        rc = main(["--L", "2,2", "--horizon", "1000", "--replications", "2",
+                   "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
+        assert rc == EXIT_CONFIG_ERROR
+        assert "L: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_flag_value_is_a_config_error(self, capsys):
+        # the same value in a config file is a config error too
+        for key, value in (("seed", "abc"), ("workers", "2.5"), ("horizon", "1e4"),
+                           ("theta", "one"), ("L", "2,x")):
+            assert main([f"--{key}", value]) == EXIT_CONFIG_ERROR
+            assert f"config error: {key}: " in capsys.readouterr().err
 
     def test_run_experiment_validates_before_tables(self, tmp_path, monkeypatch):
         def no_tables(*args, **kwargs):

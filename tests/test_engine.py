@@ -316,6 +316,11 @@ class TestSweep:
         sweep([2], replications=1, master_seed=8, tables=tables, horizon=200, workers=8)
         assert sizes == [2]  # one task runs in-process
 
+    def test_repeated_L_rejected(self):
+        # two copies of the same seeded runs would narrow that L's CI
+        with pytest.raises(ValueError, match="distinct"):
+            sweep([2, 4, 2], replications=2, master_seed=8, tables={}, horizon=1000)
+
     def test_run_seed_is_stable(self):
         assert run_seed(1, 10, 3) == run_seed(1, 10, 3)
         assert run_seed(1, 10, 3) != run_seed(1, 10, 4)

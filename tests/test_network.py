@@ -54,7 +54,7 @@ def source_queue_after(y, r, mu):
         for _ in range(count):
             buffers.cc_push(Packet(0, 0, 0.0))
         buffers.cc_admit(0)
-    transmit(buffers, [(0, 0, mu)], slot=0)
+    transmit(buffers, [(0, 0)] * mu)
     return buffers.backlog[0][0], buffers.backlog[1][0]
 
 
@@ -252,30 +252,30 @@ class TestTransmit:
 
     def test_fifo_pop_respects_rate(self):
         buffers = self.setup_buffers()
-        delivered = transmit(buffers, [(0, 0, 1)], slot=0)
+        delivered = transmit(buffers, [(0, 0)])
         assert delivered == []
         assert buffers.backlog[0][0] == 1
         assert buffers.backlog[1][0] == 1
         # the moved packet is the oldest one
-        delivered = transmit(buffers, [(1, 0, 1)], slot=1)
+        delivered = transmit(buffers, [(1, 0)])
         assert [p.birth_step for _, p in delivered] == [0]
 
     def test_empty_buffer_no_movement(self):
         buffers = BufferSet(line_topology())
-        assert transmit(buffers, [(0, 0, 5)], slot=0) == []
+        assert transmit(buffers, [(0, 0)] * 5) == []
 
     def test_relayed_data_waits_one_slot(self):
-        buffers = self.setup_buffers()
-        transmit(buffers, [(0, 0, 1)], slot=4)
-        # arrived at the relay during slot 4: not transmittable until slot 5
-        assert transmit(buffers, [(1, 0, 1)], slot=4) == []
-        delivered = transmit(buffers, [(1, 0, 1)], slot=5)
-        assert [p.birth_step for _, p in delivered] == [0]
+        buffers = BufferSet(line_topology())
+        buffers.cc_push(Packet(0, 0, 0.0))
+        buffers.cc_admit(0)
+        # the relay pair runs first, before the packet reaches the relay
+        assert transmit(buffers, [(0, 0), (1, 0)]) == []
+        assert [row[0] for row in buffers.backlog] == [0, 1, 0]
 
     def test_delivery_at_target_is_emitted_not_buffered(self):
         buffers = self.setup_buffers()
-        transmit(buffers, [(0, 0, 2)], slot=0)
-        delivered = transmit(buffers, [(1, 0, 2)], slot=1)
+        transmit(buffers, [(0, 0)] * 2)
+        delivered = transmit(buffers, [(1, 0)] * 2)
         assert len(delivered) == 2
         assert [row[0] for row in buffers.backlog] == [0, 0, 0]  # target buffers do not exist
         assert buffers.resident() == 0
@@ -284,7 +284,7 @@ class TestTransmit:
         buffers = BufferSet(line_topology())
         buffers.cc_push(Packet(0, 0, 0.0))
         buffers.cc_admit(0)
-        delivered = transmit(buffers, [(0, 0, 1)], slot=9)
+        delivered = transmit(buffers, [(0, 0)])
         assert delivered == []
         assert buffers.backlog[1][0] == 1
 
@@ -303,7 +303,7 @@ assignment_lists = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.i
 slot_rounds = st.lists(st.tuples(
     st.lists(st.integers(0, 3), max_size=4),              # loops that push one packet each
     st.lists(st.integers(0, 3), max_size=3),              # loops whose CC buffer is admitted
-    st.lists(assignment_lists, min_size=1, max_size=3),   # transmit calls within the slot
+    st.lists(assignment_lists, min_size=1, max_size=3),   # one slot, one transmit call each
 ), max_size=12)
 
 
@@ -311,9 +311,10 @@ class TestCountsTransport:
     @settings(max_examples=300, deadline=None)
     @given(hops=st.lists(st.integers(1, 3), min_size=1, max_size=4), rounds=slot_rounds)
     def test_matches_deque_transport(self, hops, rounds):
-        """Same deliveries and residents as the deque buffers after every call,
-        each loop's backlog column equal to its deque lengths along the path
-        (zero past it), and diff rows equal to [B_p - B_p+1]+ of those."""
+        """Same deliveries per loop, in order, and residents as the deque buffers
+        after every slot, each loop's backlog column equal to its deque lengths
+        along the path (zero past it), and diff rows equal to [B_p - B_p+1]+ of
+        those.  A rate r is r (hop, loop) pairs in the slot's one call."""
         topo = relay_topology(hops)
         new, old = BufferSet(topo), engine_oracle.BufferSet(topo)
 
@@ -330,8 +331,15 @@ class TestCountsTransport:
             for p, row in enumerate(new.diff):
                 assert row == [differential_backlog(q[p], q[p + 1]) for q in lengths]
 
+        def per_loop(delivered):
+            out = {}
+            for i, pk in delivered:
+                out.setdefault(i, []).append((pk.birth_step, pk.payload))
+            return out
+
         births = 0
-        for slot, (pushes, admits, calls) in enumerate(rounds):
+        slot = 0
+        for pushes, admits, calls in rounds:
             for loop in pushes:
                 loop %= len(hops)
                 new.cc_push(Packet(loop, births, float(births)))
@@ -343,17 +351,50 @@ class TestCountsTransport:
                 assert new.cc_admit(loop) == old.cc_admit(loop, slot)
                 assert_same_state()
             for call in calls:
-                positions, links = [], []
+                pairs, links = [], []
                 for p, loop, rate in call:
                     loop %= len(hops)
                     p %= hops[loop]
-                    positions.append((p, loop, rate))
+                    pairs += [(p, loop)] * rate
                     links.append((topo.paths[loop][p], loop, rate))
-                got = transmit(new, positions, slot)
+                got = transmit(new, pairs)
                 want = engine_oracle.transmit(old, links, slot)
-                assert ([(i, pk.birth_step, pk.payload) for i, pk in got]
-                        == [(i, pk.birth_step, pk.payload) for i, pk in want])
+                assert per_loop(got) == per_loop(want)
                 assert_same_state()
+                slot += 1
+
+
+class TestPicksMoveOnePacket:
+    @settings(max_examples=200, deadline=None)
+    @given(hops=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+           rounds=st.lists(st.tuples(st.lists(st.integers(0, 5), max_size=6),
+                                     st.lists(st.integers(1, 3), min_size=3, max_size=3)),
+                           max_size=15),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_pick_moves_exactly_one_packet(self, hops, rounds, seed):
+        """What the engine relies on: the links `pick_max_weight` takes from the
+        diff rows at the start of a slot each move one packet in `transmit`, so
+        a pick lowers its hop's backlog by one and raises the next hop's (or
+        delivers) by one."""
+        buffers = BufferSet(relay_topology(hops))
+        ties = TieStream(np.random.PCG64(seed))
+        births = 0
+        for pushes, capacities in rounds:
+            for loop in pushes:
+                loop %= len(hops)
+                buffers.cc_push(Packet(loop, births, 0.0))
+                buffers.cc_admit(loop)
+                births += 1
+            picks = {(p, i) for p, row in enumerate(buffers.diff)
+                     for i in pick_max_weight(row, capacities[p], ties)}
+            before = [list(row) for row in buffers.backlog]
+            # upstream first, as the engine lists its hop groups
+            delivered = [i for i, _ in transmit(buffers, sorted(picks))]
+            for i, h in enumerate(hops):
+                for p in range(h):
+                    moved_in = p > 0 and (p - 1, i) in picks
+                    assert buffers.backlog[p][i] == before[p][i] - ((p, i) in picks) + moved_in
+            assert sorted(delivered) == sorted(i for p, i in picks if p == hops[i] - 1)
 
 
 class TestStabilityDiagnostic:
