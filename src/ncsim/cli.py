@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class RunConfig:
     out_dir: str = "results"
     cache_dir: str | None = None
     workers: int = 1
-    vi: ViConfig = field(default_factory=ViConfig)
 
     def validate(self) -> None:
         if self.horizon < 1000:
@@ -83,15 +82,6 @@ _KEY_PARSERS = {
     "workers": ("workers", int, "parallel sweep workers"),
 }
 
-_VI_KEYS = {
-    "vi_e_max": ("e_max", float),
-    "vi_e_step": ("e_step", float),
-    "vi_quad": ("noise_quad", int),
-    "vi_span_tol": ("span_tol", float),
-    "vi_max_iter": ("max_iter", int),
-}
-
-
 def _read_config_file(path: str) -> dict:
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -107,34 +97,26 @@ def _read_config_file(path: str) -> dict:
 
 
 def _apply_entries(cfg: RunConfig, entries: dict) -> RunConfig:
-    vi_kwargs = {}
     for key, value in entries.items():
-        if key in _KEY_PARSERS:
-            attr, parser, _ = _KEY_PARSERS[key]
-            try:
-                cfg = replace(cfg, **{attr: parser(value)})
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-        elif key in _VI_KEYS:
-            attr, parser = _VI_KEYS[key]
-            try:
-                vi_kwargs[attr] = parser(value)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-        else:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"unknown configuration key: {key}")
-    if vi_kwargs:
+        attr, parser, _ = _KEY_PARSERS[key]
         try:
-            cfg = replace(cfg, vi=replace(cfg.vi, **vi_kwargs))
+            cfg = replace(cfg, **{attr: parser(value)})
         except ValueError as exc:
-            fields = str(exc).split(" ", 1)[0].split("/")  # ViConfig names them first
-            keys = ", ".join(key for key, (attr, _) in _VI_KEYS.items() if attr in fields)
-            raise ConfigError(f"{keys}: {exc}") from None
+            raise ConfigError(f"{key}: {exc}") from None
     return cfg
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors (unknown flag, flag without a value) are config errors, exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ncsim",
         description="Co-simulate event-triggered control loops over a "
                     "back-pressure scheduled two-hop network.")
@@ -148,10 +130,13 @@ def parse_config(argv=None) -> RunConfig:
     """RunConfig from defaults, then config file, then flag overrides."""
     args = _build_argparser().parse_args(argv)
     cfg = RunConfig()
-    if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config: file not found: {args.config}")
-        cfg = _apply_entries(cfg, _read_config_file(args.config))
+    if args.config is not None:
+        try:
+            entries = _read_config_file(args.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise ConfigError(f"config: {args.config}: {reason}") from None
+        cfg = _apply_entries(cfg, entries)
     flags = {key: getattr(args, key) for key in _KEY_PARSERS
              if getattr(args, key) is not None}
     cfg = _apply_entries(cfg, flags)
@@ -181,7 +166,7 @@ def load_or_build_tables(cfg: RunConfig, log=print) -> dict:
         if cfg.cache_dir:
             os.makedirs(cfg.cache_dir, exist_ok=True)
             cache_path = os.path.join(cfg.cache_dir,
-                                      f"{cid}__{_vi_tag(cfg.vi, lambdas)}.txt")
+                                      f"{cid}__{_vi_tag(ViConfig(), lambdas)}.txt")
         if cache_path and os.path.exists(cache_path):
             table = ThresholdTable.load(cache_path)
             if (table.class_id == cid and table.lambdas.shape == lambdas.shape
@@ -191,7 +176,7 @@ def load_or_build_tables(cfg: RunConfig, log=print) -> dict:
                 continue
             log(f"table cache stale, rebuilding: {cache_path}")
         log(f"designing thresholds for class {cid} ({lambdas.size} prices)")
-        table = build_table(lambdas, spec, sol, cfg.vi)
+        table = build_table(lambdas, spec, sol)
         tables[cid] = table
         if cache_path:
             table.save(cache_path)

@@ -189,8 +189,6 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     spst = scenario.slots_per_step
     warmup = int(horizon * WARMUP_FRAC)
 
-    a = [float(p.A[0, 0]) for p in plants]
-    b = [float(p.B[0, 0]) for p in plants]
     per_plant = {}  # plant parameters -> (-K, threshold row of the plant's class)
     loops = []  # per loop: (index, a, b, -K, threshold row, Qx, Qu)
     for i, p in enumerate(plants):
@@ -204,7 +202,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             # holds at most one packet per elapsed period
             row = tables[cid].lookup_many(theta * np.arange(horizon + 1)).tolist()
             per_plant[key] = (-float(sol.K[0, 0]), row)
-        loops.append((i, a[i], b[i], *per_plant[key],
+        loops.append((i, float(p.A[0, 0]), float(p.B[0, 0]), *per_plant[key],
                       float(p.Qx[0, 0]), float(p.Qu[0, 0])))
 
     # one noise stream per loop, one more for scheduler tie-breaks
@@ -217,10 +215,9 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     xhat = [0.0] * L
     err = [0.0] * L
     input_log = InputLog(L, horizon)
-    # loop -> its newest delivered packet not yet applied; queues are FIFO,
-    # so a loop's last delivery is its newest
-    newest: dict = {}
-    resets: dict = {}  # loop -> whether its applied sample arrived with zero delay
+    # per loop, its newest delivered packet not yet applied (None if none);
+    # queues are FIFO, so a loop's last delivery is its newest
+    newest = [None] * L
 
     injected = [0] * L
     delivered_cnt = [0] * L
@@ -250,24 +247,25 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         if slot % spst == 0:
             m = slot // spst
             if m > 0:
-                # close period m-1: deliveries first, then the input they inform
-                for i, (_, birth, payload) in newest.items():
-                    inputs = input_log.window(i, birth, m - 1).tolist()
-                    xhat[i] = estimator_deliver(a[i], b[i], payload, inputs)
-                    input_log.prune(i, birth)
-                    resets[i] = birth == m - 1
-                newest.clear()
                 w = noise[m - 1].tolist()
                 costed = m - 1 >= warmup
             forced = force_delta[m].tolist() if force_delta is not None else None
-            # one pass per loop: close period m-1 (plant, estimator, sampler error
-            # and stage cost under the input u = -K xhat), then decide at step m
-            # against the instantaneous source backlog
+            # one pass per loop: close period m-1 (the newest delivery first, then
+            # plant, estimator, sampler error and stage cost under the input
+            # u = -K xhat), then decide at step m against the instantaneous
+            # source backlog
             u = []
             sampled = []
             for i, ai, bi, neg_k, row, qxi, qui in loops:
                 e = err[i]
                 if m > 0:
+                    packet = newest[i]
+                    if packet is not None:
+                        newest[i] = None
+                        _, birth, payload = packet
+                        inputs = input_log.window(i, birth, m - 1).tolist()
+                        xhat[i] = estimator_deliver(ai, bi, payload, inputs)
+                        input_log.prune(i, birth)
                     xi = x[i]
                     ui = neg_k * xhat[i]
                     u.append(ui)
@@ -278,15 +276,14 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                     xhat[i] = ai * xhat[i] + bi * ui
                     # sampler error: Eq-18 style coast/reset, resynchronized to
                     # the true estimation error whenever a delivery arrived late
-                    if i in resets:
-                        e = wi if resets[i] else xi - xhat[i]
-                    else:
+                    if packet is None:
                         e = ai * e + wi
+                    else:
+                        e = wi if birth == m - 1 else xi - xhat[i]
                     err[i] = e
                 if (abs(e) > row[q0[i]]) if forced is None else forced[i]:
                     sampled.append(i)
             if m > 0:
-                resets.clear()
                 input_log.record(m - 1, u)
                 if record_errors:
                     error_trace[m - 1] = err
@@ -368,7 +365,6 @@ class SweepResult:
     """Aggregated metrics over replications for each swept loop count."""
 
     L_values: list
-    replications: int
     metrics: dict = field(default_factory=dict)  # (L, class, metric) -> SweepCell
     diverging: dict = field(default_factory=dict)  # L -> bool
     class_order: list = field(default_factory=list)
@@ -411,7 +407,7 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
     else:
         raw = [_one_sweep_task(t) for t in tasks]
 
-    result = SweepResult(L_values=L_values, replications=replications)
+    result = SweepResult(L_values=L_values)
     classes_seen: list = []
     for k, L in enumerate(L_values):
         runs = raw[k * replications:(k + 1) * replications]  # map keeps the task order

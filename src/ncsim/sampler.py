@@ -78,7 +78,7 @@ def plant_class_id(spec: PlantSpec, sol: LqgSolution) -> str:
     a = float(spec.A[0, 0])
     qe = float(spec.weight * sol.Qe[0, 0])
     z = float(spec.Z[0, 0])
-    return f"a{a:g}_qe{qe:g}_z{z:g}"
+    return f"a{a:.17g}_qe{qe:.17g}_z{z:.17g}"
 
 
 def default_lambda_grid() -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import pytest
 
@@ -59,9 +60,18 @@ class TestParseConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("frobnicate=1\n")
-        with pytest.raises(ConfigError, match="frobnicate"):
-            parse_config(["--config", str(path)])
+        for key in ("frobnicate", "vi_e_max"):  # the design grid is fixed, not a key
+            path.write_text(f"{key}=1\n")
+            with pytest.raises(ConfigError, match=f"unknown configuration key: {key}$"):
+                parse_config(["--config", str(path)])
+
+    def test_unreadable_config_file_names_the_path(self, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"seed=\xff\n")
+        for path in (missing, tmp_path, binary, ""):
+            with pytest.raises(ConfigError, match=f"^config: {re.escape(str(path))}: "):
+                parse_config(["--config", str(path)])
 
     def test_short_horizon_names_field(self):
         with pytest.raises(ConfigError, match="horizon"):
@@ -83,25 +93,6 @@ class TestParseConfig:
     def test_negative_seed_names_field(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(["--seed", "-1"])
-
-    def test_non_finite_vi_settings_name_the_key(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        for key in ("vi_e_max", "vi_e_step", "vi_span_tol"):
-            for value in ("nan", "inf", "0"):
-                # the valid vi_quad in the same file is not named
-                path.write_text(f"vi_quad=16\n{key}={value}\n")
-                with pytest.raises(ConfigError, match=f"^{key}: "):
-                    parse_config(["--config", str(path)])
-        path.write_text("vi_quad=16\nvi_e_max=1\n")  # grid of 20 steps: either key fixes it
-        with pytest.raises(ConfigError, match="^vi_e_max, vi_e_step: "):
-            parse_config(["--config", str(path)])
-
-    def test_vi_override(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("vi_quad=16\nvi_e_step=0.1\n")
-        cfg = parse_config(["--config", str(path)])
-        assert cfg.vi.noise_quad == 16
-        assert cfg.vi.e_step == 0.1
 
 
 def tiny_cfg(tmp_path, **overrides) -> RunConfig:
@@ -178,7 +169,7 @@ class TestRunExperiment:
             raise AssertionError("tables built for an invalid config")
         monkeypatch.setattr(cli, "build_table", no_tables)
         path = tmp_path / "run.cfg"
-        for entry in ("vi_e_step=nan", "vi_span_tol=inf"):
+        for entry in ("vi_e_step=nan", "vi_span_tol=inf", "vi_e_max=1"):  # unknown keys
             path.write_text(entry + "\n")
             rc = main(["--config", str(path), "--L", "2", "--horizon", "1000",
                        "--replications", "1", "--out", str(tmp_path / "out"),
@@ -199,10 +190,18 @@ class TestRunExperiment:
 
     def test_malformed_flag_value_is_a_config_error(self, capsys):
         # the same value in a config file is a config error too
-        for key, value in (("seed", "abc"), ("workers", "2.5"), ("horizon", "1e4"),
-                           ("theta", "one"), ("L", "2,x")):
-            assert main([f"--{key}", value]) == EXIT_CONFIG_ERROR
-            assert f"config error: {key}: " in capsys.readouterr().err
+        cases = [([f"--{key}", value], f"{key}: ") for key, value in (
+            ("seed", "abc"), ("workers", "2.5"), ("horizon", "1e4"),
+            ("theta", "one"), ("L", "2,x"))]
+        # so is a usage error: an unknown flag, or a flag without its value
+        cases += [(["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+                  (["--seed"], "argument --seed: expected one argument")]
+        for argv, named in cases:
+            assert main(argv) == EXIT_CONFIG_ERROR
+            assert f"config error: {named}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
 
     def test_run_experiment_validates_before_tables(self, tmp_path, monkeypatch):
         def no_tables(*args, **kwargs):

@@ -187,6 +187,16 @@ class TestSerialization:
             ThresholdTable.load(path)
 
 
+class TestPlantClassId:
+    def test_standard_ids(self, stable, unstable):
+        assert plant_class_id(*stable) == "a0.75_qe0.5625_z1"
+        assert plant_class_id(*unstable) == "a1.25_qe1.5625_z1"
+
+    def test_plants_six_digits_alike_get_distinct_ids(self, stable):
+        spec = PlantSpec(A=0.7500001, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)
+        assert plant_class_id(spec, design_lqg(spec)) != plant_class_id(*stable)
+
+
 class TestViConfig:
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
