@@ -6,8 +6,11 @@ closes the previous period (the input from its estimate, corrected by its
 newest delivery, then the plant, estimator, sampler-error and stage-cost
 updates) and decides whether to sample, |e| > M(theta * B), against its
 source backlog B.  M is read from one row per plant class, tabulated once
-per run by backlog.  Within every slot the scheduler picks links by
-differential backlog and moves packets.
+per run by backlog.  A delivery born in the period just closed is the
+estimate itself; only a late one is rolled forward (`estimator_deliver`).
+Then the period's slots run, the scheduler picking links by differential
+backlog and moving packets, until the network drains: nothing enters it
+before the next boundary, so the period's remaining slots are skipped.
 
 The scheduler reads the transport's own state: `BufferSet` keeps the count
 table of queue lengths and differential backlogs per hop and loop, and
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,91 +246,95 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     # per hop group: (position on the paths, its weight row, capacity)
     sched = [(group.position, buffers.diff[group.position], group.capacity)
              for group in scenario.hop_groups]
+    window, prune, record = input_log.window, input_log.prune, input_log.record
+    cc_push, cc_admit = buffers.cc_push, buffers.cc_admit
 
-    for slot in range(total_slots):
-        if slot % spst == 0:
-            m = slot // spst
+    for m in range(horizon):
+        if m > 0:
+            w = noise[m - 1].tolist()
+            costed = m - 1 >= warmup
+        forced = force_delta[m].tolist() if force_delta is not None else None
+        # one pass per loop: close period m-1 (the newest delivery first, then
+        # plant, estimator, sampler error and stage cost under the input
+        # u = -K xhat), then decide at step m against the instantaneous
+        # source backlog
+        u = []
+        sampled = []
+        for i, ai, bi, neg_k, row, qxi, qui in loops:
+            e = err[i]
             if m > 0:
-                w = noise[m - 1].tolist()
-                costed = m - 1 >= warmup
-            forced = force_delta[m].tolist() if force_delta is not None else None
-            # one pass per loop: close period m-1 (the newest delivery first, then
-            # plant, estimator, sampler error and stage cost under the input
-            # u = -K xhat), then decide at step m against the instantaneous
-            # source backlog
-            u = []
-            sampled = []
-            for i, ai, bi, neg_k, row, qxi, qui in loops:
-                e = err[i]
-                if m > 0:
-                    packet = newest[i]
-                    if packet is not None:
-                        newest[i] = None
-                        _, birth, payload = packet
-                        inputs = input_log.window(i, birth, m - 1).tolist()
-                        xhat[i] = estimator_deliver(ai, bi, payload, inputs)
-                        input_log.prune(i, birth)
-                    xi = x[i]
-                    ui = neg_k * xhat[i]
-                    u.append(ui)
-                    if costed:
-                        cost_sum[i] += qxi * xi * xi + qui * ui * ui
-                    wi = w[i]
-                    xi = x[i] = ai * xi + bi * ui + wi
-                    xhat[i] = ai * xhat[i] + bi * ui
-                    # sampler error: Eq-18 style coast/reset, resynchronized to
-                    # the true estimation error whenever a delivery arrived late
-                    if packet is None:
-                        e = ai * e + wi
-                    else:
-                        e = wi if birth == m - 1 else xi - xhat[i]
-                    err[i] = e
-                if (abs(e) > row[q0[i]]) if forced is None else forced[i]:
-                    sampled.append(i)
-            if m > 0:
-                input_log.record(m - 1, u)
-                if record_errors:
-                    error_trace[m - 1] = err
-            backlog_trace[m] = q0
+                packet = newest[i]
+                if packet is not None:
+                    newest[i] = None
+                    _, birth, payload = packet
+                    late = birth < m - 1  # else the sample is the estimate itself
+                    xhat[i] = (estimator_deliver(ai, bi, payload, window(i, birth, m - 1).tolist())
+                               if late else payload)
+                    prune(i, birth)
+                xi = x[i]
+                ui = neg_k * xhat[i]
+                u.append(ui)
+                if costed:
+                    cost_sum[i] += qxi * xi * xi + qui * ui * ui
+                wi = w[i]
+                xi = x[i] = ai * xi + bi * ui + wi
+                xhat[i] = ai * xhat[i] + bi * ui
+                # sampler error: Eq-18 style coast/reset, resynchronized to
+                # the true estimation error whenever a delivery arrived late
+                if packet is None:
+                    e = ai * e + wi
+                else:
+                    e = xi - xhat[i] if late else wi
+                err[i] = e
+            if (abs(e) > row[q0[i]]) if forced is None else forced[i]:
+                sampled.append(i)
+        if m > 0:
+            record(m - 1, u)
             if record_errors:
-                delta_trace[m, sampled] = 1
-            remaining = total_slots - max(slot, warmup_slot)
-            for i in sampled:
-                buffers.cc_push(Packet(i, m, x[i]))
-                backlog_acc[i] += buffers.cc_admit(i) * remaining
-                if m >= warmup:
-                    injected[i] += 1
-            injected_total += len(sampled)
+                error_trace[m - 1] = err
+        backlog_trace[m] = q0
+        if record_errors:
+            delta_trace[m, sampled] = 1
+        first_slot = m * spst
+        remaining = total_slots - max(first_slot, warmup_slot)
+        for i in sampled:
+            cc_push(Packet(i, m, x[i]))
+            backlog_acc[i] += cc_admit(i) * remaining
+            if m >= warmup:
+                injected[i] += 1
+        injected_total += len(sampled)
 
-        # back-pressure slot: pick per-hop winners by weight, move packets
-        if injected_total == delivered_total:
-            continue  # all buffers empty, nothing to schedule
-        # a pick has positive weight [B_p - B_p+1]+, so it moves one packet: a
-        # source pick lowers the source backlog by one from the next slot on
-        remaining = total_slots - max(slot + 1, warmup_slot)
-        assignments = []
-        for pos, weights, capacity in sched:
-            for i in pick_max_weight(weights, capacity, ties):
-                assignments.append((pos, i))
-                if pos == 0:
-                    backlog_acc[i] -= remaining
-        if assignments:
-            for loop, packet in transmit(buffers, assignments):
-                delivered_total += 1
-                newest[loop] = packet
-                birth = packet.birth_step
-                if delivered_births is not None:
-                    delivered_births[loop].append(birth)
-                if birth >= warmup:
-                    delivered_cnt[loop] += 1
-                    delay_sum[loop] += m - birth  # whole periods since the sample
+        # back-pressure slots: pick per-hop winners by weight, move packets;
+        # once every buffer is empty nothing enters before the next period
+        for slot in range(first_slot, first_slot + spst):
+            if injected_total == delivered_total:
+                break
+            # a pick has positive weight [B_p - B_p+1]+, so it moves one packet: a
+            # source pick lowers the source backlog by one from the next slot on
+            remaining = total_slots - max(slot + 1, warmup_slot)
+            assignments = []
+            for pos, weights, capacity in sched:
+                for i in pick_max_weight(weights, capacity, ties):
+                    assignments.append((pos, i))
+                    if pos == 0:
+                        backlog_acc[i] -= remaining
+            if assignments:
+                for loop, packet in transmit(buffers, assignments):
+                    delivered_total += 1
+                    newest[loop] = packet
+                    birth = packet.birth_step
+                    if delivered_births is not None:
+                        delivered_births[loop].append(birth)
+                    if birth >= warmup:
+                        delivered_cnt[loop] += 1
+                        delay_sum[loop] += m - birth  # whole periods since the sample
 
-        if check_conservation:
-            if injected_total != delivered_total + buffers.resident():
-                raise AssertionError(
-                    f"packet conservation broken at slot {slot}: "
-                    f"{injected_total} injected vs {delivered_total} delivered "
-                    f"+ {buffers.resident()} resident")
+            if check_conservation:
+                if injected_total != delivered_total + buffers.resident():
+                    raise AssertionError(
+                        f"packet conservation broken at slot {slot}: "
+                        f"{injected_total} injected vs {delivered_total} delivered "
+                        f"+ {buffers.resident()} resident")
 
     overflowed = [i for i, (c, xi) in enumerate(zip(cost_sum, x))
                   if not (math.isfinite(c) and math.isfinite(xi))]
@@ -401,29 +409,26 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
     tasks = [(master_seed, L, rep, horizon, theta, tables)
              for L in L_values for rep in range(replications)]
     workers = min(workers, len(tasks))  # a pool starts all its workers at the first submit
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_one_sweep_task, tasks))
-    else:
-        raw = [_one_sweep_task(t) for t in tasks]
-
     result = SweepResult(L_values=L_values)
     classes_seen: list = []
-    for k, L in enumerate(L_values):
-        runs = raw[k * replications:(k + 1) * replications]  # map keeps the task order
-        rows = [per_metric for per_metric, _ in runs]
-        result.diverging[L] = any(div for _, div in runs)
-        for metric in METRIC_NAMES:
-            classes = list(rows[0][metric].keys())
-            for cls in classes:
-                if cls not in classes_seen:
-                    classes_seen.append(cls)
-                vals = np.array([row[metric][cls] for row in rows])
-                n = vals.size
-                ci = 1.96 * vals.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-                result.metrics[(L, cls, metric)] = SweepCell(
-                    mean=float(vals.mean()), ci95=float(ci), n=n)
-        if progress is not None:
-            progress(L, result)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # read in task order as runs finish, so each L is reported once its own runs are in
+        raw = pool.map(_one_sweep_task, tasks) if pool else map(_one_sweep_task, tasks)
+        for L in L_values:
+            runs = [next(raw) for _ in range(replications)]
+            rows = [per_metric for per_metric, _ in runs]
+            result.diverging[L] = any(div for _, div in runs)
+            for metric in METRIC_NAMES:
+                classes = list(rows[0][metric].keys())
+                for cls in classes:
+                    if cls not in classes_seen:
+                        classes_seen.append(cls)
+                    vals = np.array([row[metric][cls] for row in rows])
+                    n = vals.size
+                    ci = 1.96 * vals.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+                    result.metrics[(L, cls, metric)] = SweepCell(
+                        mean=float(vals.mean()), ci95=float(ci), n=n)
+            if progress is not None:
+                progress(L, result)
     result.class_order = classes_seen
     return result

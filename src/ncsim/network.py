@@ -71,6 +71,8 @@ class BufferSet:
         hops = max(self.last, default=-1) + 1
         self.backlog = [[0] * len(loops) for _ in range(hops + 1)]
         self.diff = [[0] * len(loops) for _ in range(hops)]
+        # per hop p, the weight rows reading backlog[p] or backlog[p+1]
+        self.affected = [range(p - 1 if p else 0, min(p + 2, hops)) for p in range(hops)]
         self.packets = [deque() for _ in loops]
         self.cc = [0] * len(loops)
 
@@ -269,18 +271,18 @@ def transmit(buffers: BufferSet, assignments: Sequence) -> list:
     buffered.
     """
     delivered = []
-    backlog, diff = buffers.backlog, buffers.diff
-    hops = len(diff)
+    backlog, diff, last, packets = buffers.backlog, buffers.diff, buffers.last, buffers.packets
+    affected = buffers.affected
     for p, loop in sorted(assignments, reverse=True):
         here = backlog[p]
         if not here[loop]:
             continue
         here[loop] -= 1
-        if p == buffers.last[loop]:
-            delivered.append((loop, buffers.packets[loop].popleft()))
+        if p == last[loop]:
+            delivered.append((loop, packets[loop].popleft()))
         else:
             backlog[p + 1][loop] += 1
-        for q in range(p - 1 if p else 0, min(p + 2, hops)):  # weights reading hop p or p+1
+        for q in affected[p]:
             gap = backlog[q][loop] - backlog[q + 1][loop]
             diff[q][loop] = gap if gap > 0 else 0
     return delivered

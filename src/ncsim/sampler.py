@@ -19,8 +19,8 @@ published curves; this timing reproduces them to within ~2%.)
 Online, the price is the scaled backlog of the loop's source MAC buffer,
 lambda = theta * B, so a congested source raises the threshold and throttles
 its own loop.  Tables map a price grid to thresholds and interpolate; the
-decision |e| > M(theta * B) itself is made for all loops at once in
-`engine.run`.
+decision |e| > M(theta * B) itself is made one loop at a time in
+`engine.run`'s per-loop pass.
 """
 
 from __future__ import annotations

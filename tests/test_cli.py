@@ -1,5 +1,6 @@
 """Config parsing, experiment orchestration, CSV emission."""
 
+import hashlib
 import math
 import os
 import re
@@ -131,6 +132,18 @@ class TestRunExperiment:
         run_experiment(cfg_b, log=lambda *a: None)
         for name, blob in blobs_a.items():
             assert open(os.path.join(cfg_b.out_dir, name + ".csv"), "rb").read() == blob
+
+    # sha256 of summary.csv from the standard run below; a declared change of
+    # numbers updates it and says so in CHANGES.md
+    STANDARD_SUMMARY_SHA256 = "59e297f842838c523c3c95499ed0fc26ff5a62d8e3772935e0720cff0a08f09b"
+
+    def test_standard_run_csv_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--L", "2,20,44", "--replications", "2", "--horizon", "2000",
+                     "--theta", "0.8", "--out", str(out),
+                     "--cache", str(tmp_path / "cache")]) == EXIT_OK
+        blob = (out / "summary.csv").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.STANDARD_SUMMARY_SHA256
 
     def test_cache_hit_logged_and_exact(self, tmp_path):
         cfg = tiny_cfg(tmp_path)

@@ -177,6 +177,14 @@ class TestRun:
         for births in m.delivered_births:
             assert births == sorted(births)
 
+    @pytest.mark.parametrize("L, flagged", [(18, 0), (20, 0), (22, 22), (24, 24)])
+    def test_stability_flag_follows_the_capacity_bound(self, tables, L, flagged):
+        # each hop carries 2 links x 10 slots = 20 packets per period; with
+        # every loop sampling every period, the queues grow once L > 20
+        sc = make_two_hop_scenario(L, seed=3, horizon=1000)
+        m = run(sc, tables, force_delta=np.ones((1000, L), dtype=bool))
+        assert m.diverging.sum() == flagged
+
     def test_class_symmetry_under_relabeling(self, tables):
         # swapping same-class loop entries leaves every aggregate unchanged
         sc1 = make_two_hop_scenario(4, seed=9, horizon=1000)
@@ -292,11 +300,13 @@ class TestSweep:
         for key in serial.metrics:
             assert serial.metrics[key] == parallel.metrics[key]
 
-    def test_pool_has_no_more_workers_than_tasks(self, tables, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Sizes of the pools `sweep` starts, each a stand-in running its tasks in-process."""
         sizes = []
 
-        class RecordingPool:
-            """Records the pool size and runs the tasks in-process."""
+        class InProcessPool:
+            """Records the pool size; runs each task when its result is read."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -310,11 +320,29 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    def test_pool_has_no_more_workers_than_tasks(self, tables, pool_sizes):
         sweep([2], replications=2, master_seed=8, tables=tables, horizon=200, workers=8)
-        assert sizes == [2]
+        assert pool_sizes == [2]
         sweep([2], replications=1, master_seed=8, tables=tables, horizon=200, workers=8)
-        assert sizes == [2]  # one task runs in-process
+        assert pool_sizes == [2]  # one task runs in-process
+
+    def test_progress_reports_each_L_once_its_runs_are_in(self, tables, pool_sizes, monkeypatch):
+        events = []
+        one_task = engine._one_sweep_task
+
+        def task(args):
+            events.append(("task", args[1]))
+            return one_task(args)
+
+        monkeypatch.setattr(engine, "_one_sweep_task", task)
+        sweep([2, 4], replications=2, master_seed=8, tables=tables, horizon=200, workers=2,
+              progress=lambda L, result: events.append(("progress", L)))
+        assert pool_sizes == [2]
+        assert events == [("task", 2), ("task", 2), ("progress", 2),
+                          ("task", 4), ("task", 4), ("progress", 4)]
 
     def test_repeated_L_rejected(self):
         # two copies of the same seeded runs would narrow that L's CI
