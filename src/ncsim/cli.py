@@ -13,12 +13,12 @@ import math
 import os
 import sys
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .engine import (METRIC_NAMES, NonFiniteError, SweepResult,
-                     make_two_hop_scenario, sweep)
+                     make_two_hop_scenario, sweep, usable_cpus)
 from .sampler import (ThresholdTable, ViConfig, build_table,
                       default_lambda_grid, plant_class_id)
 from .control import design_lqg
@@ -44,7 +44,7 @@ class RunConfig:
     theta: float = 1.0
     out_dir: str = "results"
     cache_dir: str | None = None
-    workers: int = 1
+    workers: int = field(default_factory=usable_cpus)  # sweep caps it at usable_cpus()
 
     def validate(self) -> None:
         if self.horizon < 1000:

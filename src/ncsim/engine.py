@@ -13,11 +13,12 @@ backlog and moving packets, until the network drains: nothing enters it
 before the next boundary, so the period's remaining slots are skipped.
 
 The scheduler reads the transport's own state: `BufferSet` keeps the count
-table of queue lengths and differential backlogs per hop and loop, and
-`cc_admit` and `transmit` update it for the loops they move.  Each hop
-group picks from its row of that table in place, and the source row prices
-the sampling decision, so a slot's work scales with the loops it touches,
-not with L.
+table of queue lengths and differential backlogs per hop and loop, and per
+hop the loops bucketed by positive differential backlog (`tiers`);
+`cc_admit` and `transmit` update both for the loops they move.  Each hop
+group picks from the top buckets of its hop, and the source row prices
+the sampling decision, so a slot's work scales with the loops it touches
+and picks, not with L.
 
 The control input for period k is computed at the *end* of the period, so
 a sample that traverses the network within its own period is used with
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -243,8 +245,8 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
 
     buffers = BufferSet(scenario.topology)
     q0 = buffers.backlog[0]
-    # per hop group: (position on the paths, its weight row, capacity)
-    sched = [(group.position, buffers.diff[group.position], group.capacity)
+    # per hop group: (position on the paths, its loops by weight, capacity)
+    sched = [(group.position, buffers.tiers[group.position], group.capacity)
              for group in scenario.hop_groups]
     window, prune, record = input_log.window, input_log.prune, input_log.record
     cc_push, cc_admit = buffers.cc_push, buffers.cc_admit
@@ -313,8 +315,8 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             # source pick lowers the source backlog by one from the next slot on
             remaining = total_slots - max(slot + 1, warmup_slot)
             assignments = []
-            for pos, weights, capacity in sched:
-                for i in pick_max_weight(weights, capacity, ties):
+            for pos, tiers, capacity in sched:
+                for i in pick_max_weight(tiers, capacity, ties):
                     assignments.append((pos, i))
                     if pos == 0:
                         backlog_acc[i] -= remaining
@@ -397,10 +399,22 @@ def _one_sweep_task(args):
     return per_metric, bool(metrics.diverging.any())
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sweep(L_values, replications: int, master_seed: int, tables: dict,
           horizon: int = 10_000, theta: float = 1.0, workers: int = 1,
           progress=None) -> SweepResult:
-    """Independent seeded runs for every (L, replication), then normal CIs."""
+    """Independent seeded runs for every (L, replication), then normal CIs.
+
+    Runs on at most `workers` processes, and never on more than there are
+    tasks or usable CPUs; `workers=1` runs every task in this process.
+    """
     if replications < 1:
         raise ValueError("need at least one replication")
     L_values = list(L_values)
@@ -408,7 +422,9 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
         raise ValueError(f"L_values must be distinct, got {L_values}")
     tasks = [(master_seed, L, rep, horizon, theta, tables)
              for L in L_values for rep in range(replications)]
-    workers = min(workers, len(tasks))  # a pool starts all its workers at the first submit
+    # a pool starts all its workers at the first submit, and more than the
+    # CPUs only contend for them
+    workers = min(workers, len(tasks), usable_cpus())
     result = SweepResult(L_values=L_values)
     classes_seen: list = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

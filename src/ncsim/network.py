@@ -9,11 +9,14 @@ one packet per slot, downstream hops first.  Congestion control is
 pass-through (the network-aware sampler already throttles injection), and
 per-slot link use is decided by back-pressure: flows are prioritized by
 differential backlog and the joint action maximizes the weighted sum rate
-over an enumerable action set.
+over an enumerable action set.  `BufferSet` also keeps, per hop position,
+the loops bucketed by their positive differential backlog, so a per-hop
+max-weight pick reads the top buckets instead of every loop.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -56,13 +59,16 @@ class BufferSet:
 
     backlog[p][i] counts loop i's packets in the MAC buffer at position p of
     its path (0 past the path; row H is all zero) and diff[p][i] is the
-    weight [backlog[p][i] - backlog[p+1][i]]+; cc_admit and transmit update
-    both for the loops they move.  cc[i] counts loop i's packets held by
-    congestion control, not yet admitted to position 0.  A loop's resident
-    packets, CC buffer included, form one deque in birth order, whose head
-    is the next to be delivered.  Admitted data is transmittable in the
-    admission slot, data relayed by `transmit` only from its next call.
-    Destination buffers do not exist; arrivals there are handed straight up.
+    weight [backlog[p][i] - backlog[p+1][i]]+.  tiers[p] indexes row diff[p]
+    by weight: it maps each positive weight w to the ascending list of the
+    loops i with diff[p][i] == w, and holds no empty list and no key 0.
+    cc_admit and transmit update all three for the loops they move.  cc[i]
+    counts loop i's packets held by congestion control, not yet admitted to
+    position 0.  A loop's resident packets, CC buffer included, form one
+    deque in birth order, whose head is the next to be delivered.  Admitted
+    data is transmittable in the admission slot, data relayed by `transmit`
+    only from its next call.  Destination buffers do not exist; arrivals
+    there are handed straight up.
     """
 
     def __init__(self, topology: Topology):
@@ -71,6 +77,7 @@ class BufferSet:
         hops = max(self.last, default=-1) + 1
         self.backlog = [[0] * len(loops) for _ in range(hops + 1)]
         self.diff = [[0] * len(loops) for _ in range(hops)]
+        self.tiers = [{} for _ in range(hops)]
         # per hop p, the weight rows reading backlog[p] or backlog[p+1]
         self.affected = [range(p - 1 if p else 0, min(p + 2, hops)) for p in range(hops)]
         self.packets = [deque() for _ in loops]
@@ -88,12 +95,26 @@ class BufferSet:
             q0 = self.backlog[0]
             q0[loop] += admitted
             gap = q0[loop] - self.backlog[1][loop]
-            self.diff[0][loop] = gap if gap > 0 else 0
+            _reweigh(self.diff[0], self.tiers[0], loop, gap if gap > 0 else 0)
         return admitted
 
     def resident(self) -> int:
         """Packets currently held anywhere (CC plus MAC)."""
         return sum(map(len, self.packets))
+
+
+def _reweigh(diff: list, tiers: dict, loop: int, weight: int) -> None:
+    """Set diff[loop] to `weight`, moving the loop to that weight's tier."""
+    old = diff[loop]
+    if old != weight:
+        diff[loop] = weight
+        if old:
+            tier = tiers[old]
+            tier.remove(loop)
+            if not tier:
+                del tiers[old]
+        if weight:
+            insort(tiers.setdefault(weight, []), loop)
 
 
 def assign_flow(weights: Mapping, rng: np.random.Generator):
@@ -168,53 +189,36 @@ class TieStream:
         return picks
 
 
-def pick_max_weight(weights: list, capacity: int, rng: TieStream) -> list:
-    """Indices of up to `capacity` largest positive weights, uniform among ties.
+def pick_max_weight(tiers: dict, capacity: int, rng: TieStream) -> list:
+    """Up to `capacity` loops of the largest weights, uniform among ties.
 
-    Per-hop max-weight selection: weights are taken tier by tier from the
-    top; a tier larger than the remaining capacity is sampled without
-    replacement from the TieStream `rng`.  Entries taken are masked while
-    picking and restored before returning, so `weights` is left as it was
-    given.
+    Per-hop max-weight selection over one hop's `BufferSet.tiers` map: tiers
+    are taken whole from the top weight down while they fit; the first tier
+    larger than the remaining capacity is sampled without replacement from
+    the TieStream `rng`.  `tiers` is only read.
     """
     chosen: list = []
-    masked: list = []  # (tier, weight) of whole tiers hidden from later rounds
     need = capacity
-    while need > 0:
-        top = max(weights, default=0)
-        if top <= 0:
-            break
-        tied = weights.count(top)
-        if tied == 1:
-            take = [weights.index(top)]
+    for weight in sorted(tiers, reverse=True):
+        tier = tiers[weight]
+        tied = len(tier)
+        if tied <= need:
+            chosen += tier
+            need -= tied
+            if need:
+                continue
+        elif need == 1:
+            chosen.append(tier[rng.integers(tied)])
+        elif need == 2:
+            # uniform unordered pair without replacement
+            first = rng.integers(tied)
+            second = rng.integers(tied - 1)
+            if second >= first:
+                second += 1
+            chosen += (tier[first], tier[second])
         else:
-            tier = []
-            j = -1
-            for _ in range(tied):
-                j = weights.index(top, j + 1)
-                tier.append(j)
-            if tied <= need:
-                take = tier
-            elif need == 1:
-                take = [tier[int(rng.integers(tied))]]
-            elif need == 2:
-                # uniform unordered pair without replacement
-                first = int(rng.integers(tied))
-                second = int(rng.integers(tied - 1))
-                if second >= first:
-                    second += 1
-                take = [tier[first], tier[second]]
-            else:
-                take = [tier[j] for j in rng.choice(tied, need)]
-        chosen += take
-        need -= len(take)
-        if need > 0:  # the whole tier was taken
-            for j in take:
-                weights[j] = 0
-            masked.append((take, top))
-    for tier, top in masked:
-        for j in tier:
-            weights[j] = top
+            chosen += [tier[j] for j in rng.choice(tied, need)]
+        break
     return chosen
 
 
@@ -271,8 +275,8 @@ def transmit(buffers: BufferSet, assignments: Sequence) -> list:
     buffered.
     """
     delivered = []
-    backlog, diff, last, packets = buffers.backlog, buffers.diff, buffers.last, buffers.packets
-    affected = buffers.affected
+    backlog, diff, tiers = buffers.backlog, buffers.diff, buffers.tiers
+    last, packets, affected = buffers.last, buffers.packets, buffers.affected
     for p, loop in sorted(assignments, reverse=True):
         here = backlog[p]
         if not here[loop]:
@@ -284,7 +288,7 @@ def transmit(buffers: BufferSet, assignments: Sequence) -> list:
             backlog[p + 1][loop] += 1
         for q in affected[p]:
             gap = backlog[q][loop] - backlog[q + 1][loop]
-            diff[q][loop] = gap if gap > 0 else 0
+            _reweigh(diff[q], tiers[q], loop, gap if gap > 0 else 0)
     return delivered
 
 

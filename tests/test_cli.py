@@ -22,6 +22,11 @@ class TestParseConfig:
         assert cfg.replications == 10
         assert cfg.L_values == tuple(range(2, 45, 2))
 
+    def test_workers_default_to_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert parse_config([]).workers == 3
+        assert parse_config(["--workers", "1"]).workers == 1  # the serial path
+
     def test_empty_file_keeps_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("# nothing here\n\n")

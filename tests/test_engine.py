@@ -16,6 +16,7 @@ from ncsim.engine import (HopGroup, NonFiniteError, Scenario,
                           make_two_hop_scenario, run, run_seed, sweep)
 from ncsim.network import ActionSet, TieStream, Topology, pick_max_weight, wsr_schedule
 from ncsim.sampler import ThresholdTable, plant_class_id
+from test_network import tier_map
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +278,8 @@ class TestSchedulerFastPath:
             total = 0.0
             for group, links in zip(sc.hop_groups, (uplinks, downlinks)):
                 hop = [weights[link] for link in links]
-                picked = pick_max_weight(hop, group.capacity, TieStream(np.random.PCG64(0)))
+                picked = pick_max_weight(tier_map(hop), group.capacity,
+                                         TieStream(np.random.PCG64(0)))
                 total += sum(hop[j] for j in picked)
             assert choice.value == total
 
@@ -291,7 +293,8 @@ class TestSweep:
         assert cell.mean == pytest.approx(1.0, abs=0.01)
         assert result.cell(2, "all", "delay").mean == 0.0
 
-    def test_parallel_equals_serial(self, tables):
+    def test_parallel_equals_serial(self, tables, monkeypatch):
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)  # a pool even on one CPU
         serial = sweep([2, 4], replications=2, master_seed=8, tables=tables,
                        horizon=1000, workers=1)
         parallel = sweep([2, 4], replications=2, master_seed=8, tables=tables,
@@ -302,8 +305,10 @@ class TestSweep:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        """Sizes of the pools `sweep` starts, each a stand-in running its tasks in-process."""
+        """Sizes of the pools `sweep` starts, each a stand-in running its tasks in-process,
+        on a stand-in box of four usable CPUs."""
         sizes = []
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 4)
 
         class InProcessPool:
             """Records the pool size; runs each task when its result is read."""
@@ -328,6 +333,20 @@ class TestSweep:
         assert pool_sizes == [2]
         sweep([2], replications=1, master_seed=8, tables=tables, horizon=200, workers=8)
         assert pool_sizes == [2]  # one task runs in-process
+
+    def test_pool_has_no_more_workers_than_usable_cpus(self, tables, pool_sizes):
+        # clamped, not rejected: a config asking for more still runs
+        sweep([2, 4], replications=3, master_seed=8, tables=tables, horizon=200, workers=8)
+        assert pool_sizes == [4]
+
+    def test_usable_cpus_is_the_affinity_set_else_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert engine.usable_cpus() == 3
+        monkeypatch.delattr(engine.os, "sched_getaffinity")
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 6)
+        assert engine.usable_cpus() == 6
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: None)  # undeterminable
+        assert engine.usable_cpus() == 1
 
     def test_progress_reports_each_L_once_its_runs_are_in(self, tables, pool_sizes, monkeypatch):
         events = []

@@ -12,6 +12,15 @@ from ncsim.network import (ActionSet, BufferSet, Packet, TieStream, Topology,
                            transmit, wsr_schedule)
 
 
+def tier_map(weights) -> dict:
+    """A weight row indexed as `BufferSet.tiers` holds it: positive weight -> ascending ids."""
+    tiers = {}
+    for i, w in enumerate(weights):
+        if w > 0:
+            tiers.setdefault(w, []).append(i)
+    return tiers
+
+
 def line_topology():
     """Two loops sharing a relay: s0/s1 -> relay -> d0/d1."""
     return Topology(paths={0: (("s0", "r"), ("r", "d0")), 1: (("s1", "r"), ("r", "d1"))})
@@ -118,11 +127,11 @@ class TestPickMaxWeight:
         want = engine_oracle._pick_max_weight([weights[i] for i in ids], ids,
                                               capacity, old_rng)
         ties = TieStream(np.random.PCG64(seed))
-        given_weights = list(weights)
-        assert pick_max_weight(weights, capacity, ties) == want
+        tiers = tier_map(weights)
+        assert pick_max_weight(tiers, capacity, ties) == want
         # both streams drew as many 32-bit halves
         assert ties.integers(2**32 - 1) == old_rng.integers(2**32 - 1)
-        assert weights == given_weights
+        assert tiers == tier_map(weights)
 
 
 def choice_draws(max_n: int, max_size: int):
@@ -330,6 +339,7 @@ class TestCountsTransport:
                 lengths.append(want)
             for p, row in enumerate(new.diff):
                 assert row == [differential_backlog(q[p], q[p + 1]) for q in lengths]
+                assert new.tiers[p] == tier_map(row)
 
         def per_loop(delivered):
             out = {}
@@ -373,23 +383,31 @@ class TestPicksMoveOnePacket:
            seed=st.integers(0, 2**32 - 1))
     def test_every_pick_moves_exactly_one_packet(self, hops, rounds, seed):
         """What the engine relies on: the links `pick_max_weight` takes from the
-        diff rows at the start of a slot each move one packet in `transmit`, so
+        tiers at the start of a slot each move one packet in `transmit`, so
         a pick lowers its hop's backlog by one and raises the next hop's (or
-        delivers) by one."""
+        delivers) by one.  After every cc_admit and transmit, each hop's
+        tiers index its diff row."""
         buffers = BufferSet(relay_topology(hops))
         ties = TieStream(np.random.PCG64(seed))
+
+        def assert_tiers_index_diff():
+            for p, row in enumerate(buffers.diff):
+                assert buffers.tiers[p] == tier_map(row)
+
         births = 0
         for pushes, capacities in rounds:
             for loop in pushes:
                 loop %= len(hops)
                 buffers.cc_push(Packet(loop, births, 0.0))
                 buffers.cc_admit(loop)
+                assert_tiers_index_diff()
                 births += 1
-            picks = {(p, i) for p, row in enumerate(buffers.diff)
-                     for i in pick_max_weight(row, capacities[p], ties)}
+            picks = {(p, i) for p, tiers in enumerate(buffers.tiers)
+                     for i in pick_max_weight(tiers, capacities[p], ties)}
             before = [list(row) for row in buffers.backlog]
             # upstream first, as the engine lists its hop groups
             delivered = [i for i, _ in transmit(buffers, sorted(picks))]
+            assert_tiers_index_diff()
             for i, h in enumerate(hops):
                 for p in range(h):
                     moved_in = p > 0 and (p - 1, i) in picks
