@@ -168,8 +168,11 @@ def load_or_build_tables(cfg: RunConfig, log=print) -> dict:
             cache_path = os.path.join(cfg.cache_dir,
                                       f"{cid}__{_vi_tag(ViConfig(), lambdas)}.txt")
         if cache_path and os.path.exists(cache_path):
-            table = ThresholdTable.load(cache_path)
-            if (table.class_id == cid and table.lambdas.shape == lambdas.shape
+            try:
+                table = ThresholdTable.load(cache_path)
+            except (OSError, ValueError):  # e.g. truncated, edited or foreign
+                table = None
+            if (table is not None and table.class_id == cid
                     and np.array_equal(table.lambdas, lambdas)):
                 log(f"table cache hit: {cache_path}")
                 tables[cid] = table

@@ -1,147 +1,148 @@
-"""LQG machinery for stochastic LTI loops under intermittent state updates.
+"""LQG design for scalar stochastic LTI loops under intermittent state updates.
 
-A loop is x[k+1] = A x[k] + B u[k] + w[k] with w ~ N(0, Z) i.i.d., running
-under certainty-equivalence control u = -K xhat.  The gain K comes from the
-stationary solution P of the discrete Riccati equation
+A loop is x[k+1] = a x[k] + b u[k] + w[k] with w ~ N(0, z) i.i.d. and stage
+cost qx x^2 + qu u^2, running under certainty-equivalence control
+u = -k xhat.  The gain comes from the stationary solution p of the scalar
+discrete Riccati equation, iterated from p = qx as
 
-    P = Qx + A' (P - P B (Qu + B' P B)^-1 B' P) A
+    g = b p / (qu + b p b),    p <- qx + a (p - p b g) a,
 
-and the residual cost of *not* refreshing the estimate is weighted by
+and then
 
-    Qe = K' (Qu + B' P B) K,
+    s = qu + b p b,    k = b p a / s,    qe = k s k,
 
-so the achievable cost floor with perfect state knowledge is Tr(P Z).
+where qe weights the residual cost of *not* refreshing the estimate, and
+the achievable cost floor with perfect state knowledge is p z.
 
-The estimator is model based: it coasts on (A - B K) between packet
+The estimator is model based: it coasts on (a - b k) between packet
 deliveries and snaps to the delivered sample.  When the delivery arrives
-late, it rolls the sample forward by its own model, z <- A z + B u, through
+late, it rolls the sample forward by its own model, z <- a z + b u, through
 each input applied since the sample was taken.  The per-period plant,
-estimator and error updates of scalar loops run inline in `engine.run`; the
-late-delivery roll-forward is `estimator_deliver`.
+estimator and error updates run inline in `engine.run`; the late-delivery
+roll-forward is `estimator_deliver`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 RICCATI_TOL = 1e-9
 RICCATI_MAX_ITER = 1_000_000
 
-_SYM_TOL = 1e-9
-
 
 class RiccatiDivergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach tolerance within the cap."""
+    """Fixed-point iteration went non-finite or failed to reach tolerance within the cap."""
 
 
 class ReplayError(RuntimeError):
     """Input history does not cover the steps needed to replay a delivery."""
 
 
-def _matrix(value, name: str) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(value, dtype=float))
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be a scalar or 2-D matrix")
+def _number(value, name: str, signed: bool) -> float:
+    """`value` as one finite float, non-negative unless `signed`; else ValueError naming `name`."""
+    try:
+        x = np.asarray(value, dtype=float).item()  # ValueError unless exactly one element
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be one number, got {value!r}") from None
+    if not math.isfinite(x) or (x < 0 and not signed):
+        raise ValueError(f"{name} must be {'' if signed else 'non-negative and '}finite, got {x!r}")
+    return x
+
+
+def _as_1x1(x: float) -> np.ndarray:
+    """`x` as a read-only 1 x 1 array, for callers that index [0, 0]."""
+    m = np.full((1, 1), x)
+    m.flags.writeable = False
     return m
-
-
-def _check_sym_psd(m: np.ndarray, name: str) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got {m.shape}")
-    if not np.allclose(m, m.T, atol=_SYM_TOL):
-        raise ValueError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(m).min() < -_SYM_TOL:
-        raise ValueError(f"{name} must be positive semi-definite")
 
 
 @dataclass(frozen=True)
 class PlantSpec:
-    """Parameters of one LTI loop and its quadratic cost.
+    """One scalar LTI loop and its quadratic cost, one number per field.
 
-    A: system matrix (n x n), B: input matrix (n x m), Z: noise covariance,
-    Qx/Qu: state/input cost weights, weight: this loop's weight in the
-    network-wide cost.
+    A/B: system/input coefficient, finite; Z: noise variance, Qx/Qu:
+    state/input cost weights, weight: the loop's weight in the network-wide
+    cost, each finite and non-negative.  Any other value raises ValueError
+    naming the field.  A spec holds the plant's numbers as floats a, b, z,
+    qx, qu, compares and hashes by them, and keeps A..Qu as read-only 1 x 1
+    arrays.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    Z: np.ndarray
-    Qx: np.ndarray
-    Qu: np.ndarray
+    A: np.ndarray = field(compare=False)
+    B: np.ndarray = field(compare=False)
+    Z: np.ndarray = field(compare=False)
+    Qx: np.ndarray = field(compare=False)
+    Qu: np.ndarray = field(compare=False)
     weight: float = 1.0
+    a: float = field(init=False, repr=False)
+    b: float = field(init=False, repr=False)
+    z: float = field(init=False, repr=False)
+    qx: float = field(init=False, repr=False)
+    qu: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _matrix(self.A, "A"))
-        object.__setattr__(self, "B", _matrix(self.B, "B"))
-        object.__setattr__(self, "Z", _matrix(self.Z, "Z"))
-        object.__setattr__(self, "Qx", _matrix(self.Qx, "Qx"))
-        object.__setattr__(self, "Qu", _matrix(self.Qu, "Qu"))
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise ValueError("A must be square")
-        if self.B.shape[0] != n:
-            raise ValueError("B row count must match A")
-        m = self.B.shape[1]
-        if self.Z.shape != (n, n):
-            raise ValueError("Z must be n x n")
-        if self.Qx.shape != (n, n):
-            raise ValueError("Qx must be n x n")
-        if self.Qu.shape != (m, m):
-            raise ValueError("Qu must be m x m")
-        _check_sym_psd(self.Z, "Z")
-        _check_sym_psd(self.Qx, "Qx")
-        _check_sym_psd(self.Qu, "Qu")
-        if self.weight < 0:
-            raise ValueError("weight must be non-negative")
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.A.shape == (1, 1) and self.B.shape == (1, 1)
+        for name in ("A", "B", "Z", "Qx", "Qu"):
+            x = _number(getattr(self, name), name, signed=name in ("A", "B"))
+            object.__setattr__(self, name.lower(), x)
+            object.__setattr__(self, name, _as_1x1(x))
+        object.__setattr__(self, "weight", _number(self.weight, "weight", signed=False))
 
 
 @dataclass(frozen=True)
 class LqgSolution:
-    """Riccati fixed point P, optimal gain K, error weight Qe, cost floor Tr(P Z)."""
+    """Riccati fixed point p, optimal gain k, error weight qe, cost floor p z.
 
-    P: np.ndarray
-    K: np.ndarray
-    Qe: np.ndarray
+    P, K and Qe hold p, k and qe as read-only 1 x 1 arrays.
+    """
+
+    p: float
+    k: float
+    qe: float
     floor_cost: float
+    P: np.ndarray = field(init=False, repr=False, compare=False)
+    K: np.ndarray = field(init=False, repr=False, compare=False)
+    Qe: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("P", "K", "Qe"):
+            object.__setattr__(self, name, _as_1x1(getattr(self, name.lower())))
 
 
 def solve_riccati(spec: PlantSpec, tol: float = RICCATI_TOL,
                   max_iter: int = RICCATI_MAX_ITER) -> np.ndarray:
-    """Stationary P by fixed-point iteration from P0 = Qx.
+    """Stationary p, as a 1 x 1 array, by fixed-point iteration from p = qx.
 
-    Raises RiccatiDivergenceError if the max-norm residual stays above
-    `tol` for `max_iter` iterations, and LinAlgError if Qu + B'PB becomes
-    singular along the way.
+    Raises RiccatiDivergenceError at the first non-finite iterate or if
+    |p' - p| stays above `tol` for `max_iter` iterations, and
+    ZeroDivisionError if qu + b p b is zero along the way.
     """
-    A, B, Qx, Qu = spec.A, spec.B, spec.Qx, spec.Qu
-    P = Qx.copy()
-    for _ in range(max_iter):
-        BtP = B.T @ P
-        gain_term = np.linalg.solve(Qu + BtP @ B, BtP)
-        P_next = Qx + A.T @ (P - P @ B @ gain_term) @ A
-        P_next = 0.5 * (P_next + P_next.T)
-        if np.max(np.abs(P_next - P)) <= tol:
-            return P_next
-        P = P_next
+    a, b, qx, qu = spec.a, spec.b, spec.qx, spec.qu
+    p = qx
+    for it in range(max_iter):
+        btp = b * p
+        g = btp / (qu + btp * b)
+        p_next = qx + a * (p - p * b * g) * a
+        if abs(p_next - p) <= tol:
+            return _as_1x1(p_next)
+        if not math.isfinite(p_next):
+            raise RiccatiDivergenceError(
+                f"Riccati iterate is not finite after {it + 1} iterations for A={a!r}, B={b!r}")
+        p = p_next
     raise RiccatiDivergenceError(
         f"Riccati iteration did not converge within {max_iter} iterations "
-        f"for A={spec.A.tolist()}, B={spec.B.tolist()}"
+        f"for A={a!r}, B={b!r}"
     )
 
 
 def compute_gain(P: np.ndarray, spec: PlantSpec) -> LqgSolution:
-    """Optimal gain K = (B'PB + Qu)^-1 B'PA plus the derived cost weights."""
-    S = spec.Qu + spec.B.T @ P @ spec.B
-    K = np.linalg.solve(S, spec.B.T @ P @ spec.A)
-    Qe = K.T @ S @ K
-    floor = float(np.trace(P @ spec.Z))
-    return LqgSolution(P=P, K=K, Qe=Qe, floor_cost=floor)
+    """Optimal gain k = b p a / (qu + b p b) for the 1 x 1 `P`, plus the derived cost weights."""
+    p, a, b = float(P[0, 0]), spec.a, spec.b
+    s = spec.qu + b * p * b
+    k = b * p * a / s
+    return LqgSolution(p=p, k=k, qe=k * s * k, floor_cost=p * spec.z)
 
 
 def design_lqg(spec: PlantSpec) -> LqgSolution:

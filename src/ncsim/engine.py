@@ -79,10 +79,6 @@ class Scenario:
     def __post_init__(self):
         if self.slots_per_step < 1:
             raise ValueError("slots_per_step must be at least 1")
-        for i, plant in enumerate(self.plants):
-            if not plant.is_scalar:
-                raise ValueError(f"loop {i}: plant is not scalar (A {plant.A.shape}, "
-                                 f"B {plant.B.shape}); the engine runs scalar loops only")
         paths = self.topology.paths
         if set(paths) != set(range(len(self.plants))):
             raise ValueError("topology.paths must be keyed by the loops 0..L-1")
@@ -100,7 +96,7 @@ class Scenario:
     @property
     def class_labels(self) -> list:
         """Per loop "stable" if its plant has |A| < 1, else "unstable"."""
-        return ["stable" if abs(p.A[0, 0]) < 1 else "unstable" for p in self.plants]
+        return ["stable" if abs(p.a) < 1 else "unstable" for p in self.plants]
 
 
 def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000) -> Scenario:
@@ -195,11 +191,10 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     spst = scenario.slots_per_step
     warmup = int(horizon * WARMUP_FRAC)
 
-    per_plant = {}  # plant parameters -> (-K, threshold row of the plant's class)
+    per_plant = {}  # plant -> (-K, threshold row of the plant's class)
     loops = []  # per loop: (index, a, b, -K, threshold row, Qx, Qu)
     for i, p in enumerate(plants):
-        key = (p.A[0, 0], p.B[0, 0], p.Z[0, 0], p.Qx[0, 0], p.Qu[0, 0], p.weight)
-        if key not in per_plant:
+        if p not in per_plant:
             sol = design_lqg(p)
             cid = plant_class_id(p, sol)
             if cid not in tables:
@@ -207,14 +202,13 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             # M(theta * B) for every source backlog B a run can reach: a source
             # holds at most one packet per elapsed period
             row = tables[cid].lookup_many(theta * np.arange(horizon + 1)).tolist()
-            per_plant[key] = (-float(sol.K[0, 0]), row)
-        loops.append((i, float(p.A[0, 0]), float(p.B[0, 0]), *per_plant[key],
-                      float(p.Qx[0, 0]), float(p.Qu[0, 0])))
+            per_plant[p] = (-sol.k, row)
+        loops.append((i, p.a, p.b, *per_plant[p], p.qx, p.qu))
 
     # one noise stream per loop, one more for scheduler tie-breaks
     noise = np.empty((horizon, L))
     for i, p in enumerate(plants):
-        noise[:, i] = _loop_rng_seed(scenario.seed, i).normal(0.0, math.sqrt(p.Z[0, 0]), horizon)
+        noise[:, i] = _loop_rng_seed(scenario.seed, i).normal(0.0, math.sqrt(p.z), horizon)
     ties = TieStream(_loop_rng_seed(scenario.seed, _TIE_STREAM).bit_generator)
 
     x = [0.0] * L

@@ -71,13 +71,14 @@ class ViConfig:
             raise ValueError("max_iter must be positive")
 
 
+def _class_params(spec: PlantSpec, sol: LqgSolution) -> tuple:
+    """(a, weight * qe, z): all that a plant's threshold design depends on."""
+    return spec.a, spec.weight * sol.qe, spec.z
+
+
 def plant_class_id(spec: PlantSpec, sol: LqgSolution) -> str:
-    """Stable identifier for the scalar plant class a table belongs to."""
-    if not spec.is_scalar:
-        raise ValueError("threshold design is defined for scalar plants")
-    a = float(spec.A[0, 0])
-    qe = float(spec.weight * sol.Qe[0, 0])
-    z = float(spec.Z[0, 0])
+    """Stable identifier for the plant class a table belongs to."""
+    a, qe, z = _class_params(spec, sol)
     return f"a{a:.17g}_qe{qe:.17g}_z{z:.17g}"
 
 
@@ -90,7 +91,7 @@ def default_lambda_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Monotone map from price lambda to sampling threshold M."""
+    """Monotone map from price lambda to sampling threshold M, finite at every knot."""
 
     lambdas: np.ndarray
     thresholds: np.ndarray
@@ -101,6 +102,8 @@ class ThresholdTable:
         thr = np.asarray(self.thresholds, dtype=float)
         if lam.ndim != 1 or lam.shape != thr.shape or lam.size == 0:
             raise ValueError("lambdas and thresholds must be matching 1-D arrays")
+        if not (np.isfinite(lam).all() and np.isfinite(thr).all()):
+            raise ValueError("lambdas and thresholds must be finite")
         if np.any(np.diff(lam) <= 0):
             raise ValueError("lambda grid must be strictly ascending")
         if lam[0] < 0:
@@ -139,6 +142,8 @@ class ThresholdTable:
             class_id = header.split("class=", 1)[1].strip()
             lams, thrs = [], []
             for line in fh:
+                if not line.endswith("\n"):
+                    raise ValueError(f"{path}: truncated last line {line!r}")
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -161,7 +166,7 @@ class _ErrorGridMdp:
         self.mid = half
 
         nodes, weights = np.polynomial.hermite.hermgauss(cfg.noise_quad)
-        sigma = math.sqrt(max(z, 0.0))
+        sigma = math.sqrt(z)
         self.w_pts = nodes * math.sqrt(2.0) * sigma
         self.w_wts = weights / math.sqrt(math.pi)
 
@@ -228,19 +233,12 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, cfg: ViConfig,
     return threshold, h
 
 
-def _plant_mdp(spec: PlantSpec, sol: LqgSolution, cfg: ViConfig) -> _ErrorGridMdp:
-    if not spec.is_scalar:
-        raise ValueError("threshold design is defined for scalar plants")
-    return _ErrorGridMdp(a=float(spec.A[0, 0]), qe=float(spec.weight * sol.Qe[0, 0]),
-                         z=float(spec.Z[0, 0]), cfg=cfg)
-
-
 def design_threshold(lam: float, spec: PlantSpec, sol: LqgSolution,
                      cfg: ViConfig = ViConfig()) -> float:
-    """Optimal sampling threshold M(lambda) for one scalar plant class."""
+    """Optimal sampling threshold M(lambda) for one plant class."""
     if lam < 0:
         raise ValueError("price must be non-negative")
-    mdp = _plant_mdp(spec, sol, cfg)
+    mdp = _ErrorGridMdp(*_class_params(spec, sol), cfg)
     return _solve_threshold(lam, mdp, cfg)[0]
 
 
@@ -257,7 +255,7 @@ def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
     if np.any(np.diff(lams) <= 0):
         raise ValueError("lambda grid must be strictly ascending")
 
-    mdp = _plant_mdp(spec, sol, cfg)
+    mdp = _ErrorGridMdp(*_class_params(spec, sol), cfg)
     thresholds = np.empty_like(lams)
     h = None
     for i, lam in enumerate(lams):

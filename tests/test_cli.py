@@ -150,16 +150,54 @@ class TestRunExperiment:
         blob = (out / "summary.csv").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == self.STANDARD_SUMMARY_SHA256
 
+    # names and sha256 of the two standard classes' table files; the names
+    # carry the class ids, which print Qe to 17 significant digits
+    STANDARD_TABLES_SHA256 = {
+        "a0.75_qe0.5625_z1__emax25_estep0.05_q32_tol1e-06_gridf8e7b1b6.txt":
+            "b90b27bc9bc2b9cd5ef0bed22b7c098843ab968ddc403099a2dae31000c446ab",
+        "a1.25_qe1.5625_z1__emax25_estep0.05_q32_tol1e-06_gridf8e7b1b6.txt":
+            "a432c0c051368661db720d7c30901d1a5d790489c3a563da78aad9663149b661",
+    }
+
     def test_cache_hit_logged_and_exact(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         messages = []
         run_experiment(cfg, log=messages.append)
         assert not any("table cache hit" in m for m in messages)
+        cache = tmp_path / "cache"
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in cache.iterdir()} == self.STANDARD_TABLES_SHA256
         messages.clear()
         cfg2 = tiny_cfg(tmp_path)
         cfg2.out_dir = str(tmp_path / "out3")
         run_experiment(cfg2, log=messages.append)
         assert any("table cache hit" in m for m in messages)
+
+    @pytest.mark.parametrize("damage", ["cut after a lambda", "cut in the last threshold",
+                                        "nan threshold"])
+    def test_damaged_cache_file_is_rebuilt(self, tmp_path, damage):
+        cold = tiny_cfg(tmp_path)
+        assert run_experiment(cold, log=lambda *a: None) == EXIT_OK
+        path = sorted((tmp_path / "cache").iterdir())[1]
+        good = path.read_bytes()
+        if damage == "cut after a lambda":
+            path.write_bytes(good[:good.index(b" ", len(good) // 2)])
+        elif damage == "cut in the last threshold":  # every lambda knot is still there
+            path.write_bytes(good[:-4])
+        else:  # the threshold at lambda = 1, which a price theta * B can hit at L=2
+            lines = good.decode().splitlines(keepends=True)
+            assert lines[3].split()[0] == "1"
+            lines[3] = "1 nan\n"
+            path.write_text("".join(lines))
+        messages = []
+        warm = tiny_cfg(tmp_path)
+        warm.out_dir = str(tmp_path / "warm")
+        assert run_experiment(warm, log=messages.append) == EXIT_OK
+        assert f"table cache stale, rebuilding: {path}" in messages
+        assert path.read_bytes() == good
+        for name in ("rate", "backlog", "delay", "cost", "summary"):
+            csv = f"{name}.csv"
+            assert (tmp_path / "warm" / csv).read_bytes() == (tmp_path / "out" / csv).read_bytes()
 
     def test_runtime_error_exit_code(self, tmp_path):
         blocker = tmp_path / "blocked"

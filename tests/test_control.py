@@ -1,6 +1,8 @@
 """LQG design, per-period dynamics as the engine runs them, delayed-delivery replay."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -38,19 +40,25 @@ class TestRiccati:
         assert abs(p[0, 0] - GOLDEN) <= 1e-9
 
     def test_residual_at_convergence(self):
-        for a, qu in ((0.75, 0.0), (1.25, 0.0), (1.0, 1.0)):
-            spec = scalar_spec(a, qu=qu)
-            p = solve_riccati(spec)
-            bp = spec.B.T @ p
-            gain_term = np.linalg.solve(spec.Qu + bp @ spec.B, bp)
-            rhs = spec.Qx + spec.A.T @ (p - p @ spec.B @ gain_term) @ spec.A
-            assert np.max(np.abs(p - rhs)) <= 1e-9
+        for a, b, qx, qu in ((0.75, 1.0, 1.0, 0.0), (1.25, 1.0, 1.0, 0.0),
+                             (1.0, 1.0, 1.0, 1.0), (-1.7, 0.4, 2.5, 0.3)):
+            p = solve_riccati(PlantSpec(A=a, B=b, Z=1.0, Qx=qx, Qu=qu))[0, 0]
+            rhs = qx + a * a * p - (a * b * p) ** 2 / (qu + b * b * p)
+            assert abs(p - rhs) <= 1e-9
 
     def test_divergence_error_names_spec(self):
         # unstable and uncontrollable: B = 0
         spec = PlantSpec(A=2.0, B=0.0, Z=1.0, Qx=1.0, Qu=1.0)
         with pytest.raises(RiccatiDivergenceError, match="A="):
             solve_riccati(spec, max_iter=500)
+
+    def test_non_finite_iterate_raises_at_once(self):
+        # p grows as 4^k, overflows after ~510 iterations and would then stay
+        # nan until the 10^6-iteration cap
+        spec = PlantSpec(A=2.0, B=0.0, Z=1.0, Qx=1.0, Qu=1.0)
+        with pytest.raises(RiccatiDivergenceError,
+                           match=r"not finite after 5\d\d iterations for A=2.0"):
+            solve_riccati(spec)
 
 
 class TestGain:
@@ -79,10 +87,11 @@ class TestGain:
             assert abs(spec.A[0, 0] - spec.B[0, 0] * sol.K[0, 0]) <= 1e-9
 
     def test_floor_cost_is_trace(self):
-        spec = PlantSpec(A=np.eye(2) * 0.5, B=np.eye(2), Z=np.diag([1.0, 2.0]),
-                         Qx=np.eye(2), Qu=np.eye(2))
+        # the trace of P Z for a scalar plant is p z
+        spec = PlantSpec(A=0.5, B=1.0, Z=2.0, Qx=1.0, Qu=1.0)
         sol = design_lqg(spec)
-        assert sol.floor_cost == pytest.approx(float(np.trace(sol.P @ spec.Z)))
+        assert sol.floor_cost == sol.p * 2.0 == sol.P[0, 0] * spec.Z[0, 0]
+        assert sol.p > 1.0
 
 
 def forced_run(L, horizon, always):
@@ -204,16 +213,29 @@ def test_always_transmit_cost_converges_to_floor():
 
 
 class TestPlantSpecValidation:
-    def test_asymmetric_noise_rejected(self):
-        with pytest.raises(ValueError, match="Z"):
-            PlantSpec(A=np.eye(2), B=np.eye(2), Z=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                      Qx=np.eye(2), Qu=np.eye(2))
-
     def test_negative_definite_cost_rejected(self):
         with pytest.raises(ValueError, match="Qx"):
             PlantSpec(A=1.0, B=1.0, Z=1.0, Qx=-1.0, Qu=0.0)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PlantSpec(A=np.eye(2), B=np.ones((3, 1)), Z=np.eye(2),
-                      Qx=np.eye(2), Qu=np.eye(1))
+        # one number per field: a 2 x 2 A is rejected, naming A
+        with pytest.raises(ValueError, match="^A must be one number"):
+            PlantSpec(A=np.eye(2), B=1.0, Z=1.0, Qx=1.0, Qu=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["A", "B", "Z", "Qx", "Qu", "weight"])
+    def test_non_finite_field_rejected_at_once(self, name, value):
+        fields = dict(A=0.75, B=1.0, Z=1.0, Qx=1.0, Qu=0.0, weight=1.0)
+        fields[name] = value
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
+            PlantSpec(**fields)
+        assert time.perf_counter() - start < 0.5
+
+    def test_one_element_arrays_are_numbers(self):
+        spec = PlantSpec(A=np.array([[0.75]]), B=np.array([1.0]), Z=1, Qx=1.0, Qu=0.0)
+        assert (spec.a, spec.b, spec.z, spec.weight) == (0.75, 1.0, 1.0, 1.0)
+        assert spec == scalar_spec(0.75) and hash(spec) == hash(scalar_spec(0.75))
+        assert dataclasses.replace(spec, Z=2.0).Z[0, 0] == 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.A[0, 0] = 1.25

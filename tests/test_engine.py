@@ -87,13 +87,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="no path reaches"):
             dataclasses.replace(sc, hop_groups=[HopGroup(0, 2), HopGroup(2, 2)])
 
-    def test_non_scalar_plant_rejected_naming_the_loop(self):
-        sc = make_two_hop_scenario(2, seed=0)
-        plants = [sc.plants[0], PlantSpec(A=np.eye(2), B=np.ones((2, 1)), Z=np.eye(2),
-                                          Qx=np.eye(2), Qu=1.0)]
-        with pytest.raises(ValueError, match="loop 1: .*scalar"):
-            dataclasses.replace(sc, plants=plants)
-
     @pytest.mark.parametrize("capacity", [0, 1.5])
     def test_capacity_must_be_a_positive_integer(self, capacity):
         sc = make_two_hop_scenario(2, seed=0)

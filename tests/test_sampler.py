@@ -1,6 +1,7 @@
 """Threshold design: value iteration, tables, the online decision as the engine makes it."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -40,12 +41,6 @@ class TestDesignThreshold:
     def test_rejects_negative_price(self, stable):
         with pytest.raises(ValueError):
             design_threshold(-1.0, *stable)
-
-    def test_rejects_vector_plant(self):
-        spec = PlantSpec(A=np.eye(2), B=np.eye(2), Z=np.eye(2),
-                         Qx=np.eye(2), Qu=np.eye(2))
-        with pytest.raises(ValueError, match="scalar"):
-            design_threshold(1.0, spec, design_lqg(spec))
 
     def test_iteration_cap_raises(self, stable):
         cfg = ViConfig(max_iter=2)
@@ -186,6 +181,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ThresholdTable.load(path)
 
+    def test_rejects_truncated_file(self, tmp_path, stable):
+        # cut inside the last threshold: the lambda knots still match the grid
+        path = tmp_path / "t.txt"
+        build_table([0.0, 1.0, 10.0], *stable).save(path)
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError, match="truncated"):
+            ThresholdTable.load(path)
+
 
 class TestPlantClassId:
     def test_standard_ids(self, stable, unstable):
@@ -217,3 +220,11 @@ class TestThresholdTableInvariants:
         with pytest.raises(ValueError):
             ThresholdTable(lambdas=np.array([1.0, 0.0]),
                            thresholds=np.array([0.0, 1.0]), class_id="x")
+
+    @pytest.mark.parametrize("lambdas, thresholds", [
+        ([0.0, 1.0, 2.0], [0.0, math.nan, 2.0]), ([0.0, 1.0, 2.0], [0.0, 1.0, math.inf]),
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]), ([0.0, 1.0, math.inf], [0.0, 1.0, 2.0])])
+    def test_non_finite_knots_rejected(self, lambdas, thresholds):
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdTable(lambdas=np.array(lambdas), thresholds=np.array(thresholds),
+                           class_id="x")
