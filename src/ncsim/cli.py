@@ -144,29 +144,25 @@ def parse_config(argv=None) -> RunConfig:
     return cfg
 
 
-def _vi_tag(cfg: ViConfig, lambdas: np.ndarray) -> str:
+def _vi_tag(lambdas: np.ndarray) -> str:
     grid_crc = zlib.crc32(np.ascontiguousarray(lambdas).tobytes())
-    return (f"emax{cfg.e_max:g}_estep{cfg.e_step:g}_q{cfg.noise_quad}"
-            f"_tol{cfg.span_tol:g}_grid{grid_crc:08x}")
+    return (f"emax{ViConfig.e_max:g}_estep{ViConfig.e_step:g}_q{ViConfig.noise_quad}"
+            f"_tol{ViConfig.span_tol:g}_grid{grid_crc:08x}")
 
 
 def load_or_build_tables(cfg: RunConfig, log=print) -> dict:
     """Threshold tables for both plant classes, cached as plain-text files."""
     lambdas = default_lambda_grid()
-    scenario = make_two_hop_scenario(min(cfg.L_values), seed=0, horizon=1000)
     tables = {}
-    seen = set()
-    for spec in scenario.plants:
+    # the two plant classes; PlantSpec hashes by its numbers
+    for spec in dict.fromkeys(make_two_hop_scenario(2, seed=0, horizon=1000).plants):
         sol = design_lqg(spec)
         cid = plant_class_id(spec, sol)
-        if cid in seen:
-            continue
-        seen.add(cid)
         cache_path = None
         if cfg.cache_dir:
             os.makedirs(cfg.cache_dir, exist_ok=True)
             cache_path = os.path.join(cfg.cache_dir,
-                                      f"{cid}__{_vi_tag(ViConfig(), lambdas)}.txt")
+                                      f"{cid}__{_vi_tag(lambdas)}.txt")
         if cache_path and os.path.exists(cache_path):
             try:
                 table = ThresholdTable.load(cache_path)

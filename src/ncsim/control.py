@@ -116,14 +116,17 @@ def solve_riccati(spec: PlantSpec, tol: float = RICCATI_TOL,
     """Stationary p, as a 1 x 1 array, by fixed-point iteration from p = qx.
 
     Raises RiccatiDivergenceError at the first non-finite iterate or if
-    |p' - p| stays above `tol` for `max_iter` iterations, and
-    ZeroDivisionError if qu + b p b is zero along the way.
+    |p' - p| stays above `tol` for `max_iter` iterations, and ValueError if
+    qu + b p b is zero along the way, where the gain is undefined.
     """
     a, b, qx, qu = spec.a, spec.b, spec.qx, spec.qu
     p = qx
     for it in range(max_iter):
         btp = b * p
-        g = btp / (qu + btp * b)
+        try:
+            g = btp / (qu + btp * b)
+        except ZeroDivisionError:
+            raise _undefined_gain(spec) from None
         p_next = qx + a * (p - p * b * g) * a
         if abs(p_next - p) <= tol:
             return _as_1x1(p_next)
@@ -137,10 +140,20 @@ def solve_riccati(spec: PlantSpec, tol: float = RICCATI_TOL,
     )
 
 
+def _undefined_gain(spec: PlantSpec) -> ValueError:
+    return ValueError(f"gain is undefined for A={spec.a!r}, B={spec.b!r}, Qx={spec.qx!r}, "
+                      f"Qu={spec.qu!r}: qu + b p b = 0")
+
+
 def compute_gain(P: np.ndarray, spec: PlantSpec) -> LqgSolution:
-    """Optimal gain k = b p a / (qu + b p b) for the 1 x 1 `P`, plus the derived cost weights."""
+    """Optimal gain k = b p a / (qu + b p b) for the 1 x 1 `P`, plus the derived cost weights.
+
+    Raises ValueError if qu + b p b is zero, where the gain is undefined.
+    """
     p, a, b = float(P[0, 0]), spec.a, spec.b
     s = spec.qu + b * p * b
+    if not s:
+        raise _undefined_gain(spec)
     k = b * p * a / s
     return LqgSolution(p=p, k=k, qe=k * s * k, floor_cost=p * spec.z)
 

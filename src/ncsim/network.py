@@ -292,19 +292,13 @@ def transmit(buffers: BufferSet, assignments: Sequence) -> list:
     return delivered
 
 
-def stability_diagnostic(trace) -> np.ndarray:
-    """Per column of a (steps, loops) backlog trace, a linear-growth flag.
+def stability_diagnostic(first, second) -> np.ndarray:
+    """Per loop, a linear-growth flag from its backlog summed over each half of the steps.
 
-    A column is flagged as diverging when its average over the second half
-    of the steps exceeds twice its average over the first half.
+    A loop is flagged as diverging when its second-half sum exceeds twice
+    its first-half sum.  Over halves of h steps each, that is the rule on
+    the half-averages, second/h > 2 first/h: the sums are exact integers
+    below 2**52, so dividing them by h keeps their order.
     """
-    arr = np.asarray(trace)
-    if arr.shape[0] == 0:
-        raise ValueError("backlog trace is empty")
-    half = arr.shape[0] // 2
-    if half == 0:
-        return np.zeros(arr.shape[1:], dtype=bool)
-    # the half-averages as np.mean forms them, without a float copy of the trace
-    first = arr[:half].sum(axis=0) / half
-    second = arr[arr.shape[0] - half:].sum(axis=0) / half
-    return (second > 2.0 * first) & (second > 0.0)
+    first, second = np.asarray(first), np.asarray(second)
+    return (second > 2 * first) & (second > 0)

@@ -11,6 +11,7 @@ from ncsim import cli
 from ncsim.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUNTIME_ERROR,
                        EXIT_UNSTABLE, ConfigError, RunConfig, main,
                        parse_config, run_experiment)
+from ncsim.control import design_lqg
 from ncsim.engine import NonFiniteError
 
 
@@ -99,6 +100,14 @@ class TestParseConfig:
     def test_negative_seed_names_field(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(["--seed", "-1"])
+
+
+@pytest.fixture(scope="module")
+def standard_cache(tmp_path_factory) -> str:
+    """A table cache directory holding both standard classes' tables."""
+    cache = str(tmp_path_factory.mktemp("cache"))
+    cli.load_or_build_tables(RunConfig(cache_dir=cache), log=lambda *a: None)
+    return cache
 
 
 def tiny_cfg(tmp_path, **overrides) -> RunConfig:
@@ -277,3 +286,25 @@ class TestRunExperiment:
                    "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
         assert rc == EXIT_UNSTABLE
         assert "loops [3]" in capsys.readouterr().err
+
+    def test_divergence_exit_code(self, tmp_path, standard_cache, capsys):
+        # at theta = 0.05 the 22 unstable loops starve and their source queues grow
+        out = tmp_path / "out"
+        rc = main(["--L", "44", "--theta", "0.05", "--horizon", "1000", "--replications", "1",
+                   "--workers", "1", "--out", str(out), "--cache", standard_cache])
+        assert rc == EXIT_UNSTABLE
+        assert sorted(path.name for path in out.iterdir()) == [
+            "backlog.csv", "cost.csv", "delay.csv", "rate.csv", "summary.csv"]
+        assert "warning: queue divergence flagged at L=44\n" in capsys.readouterr().out
+
+    def test_tables_design_each_plant_class_once(self, standard_cache, monkeypatch):
+        designed = []
+
+        def counting_design_lqg(spec):
+            designed.append(spec)
+            return design_lqg(spec)
+        monkeypatch.setattr(cli, "design_lqg", counting_design_lqg)
+        tables = cli.load_or_build_tables(parse_config(["--L", "44", "--cache", standard_cache]),
+                                          log=lambda *a: None)
+        assert [spec.a for spec in designed] == [0.75, 1.25]
+        assert len(tables) == 2

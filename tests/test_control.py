@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -92,6 +93,16 @@ class TestGain:
         sol = design_lqg(spec)
         assert sol.floor_cost == sol.p * 2.0 == sol.P[0, 0] * spec.Z[0, 0]
         assert sol.p > 1.0
+
+    @pytest.mark.parametrize("b, qx", [(1.0, 0.0), (0.0, 1.0)])
+    def test_undefined_gain_names_the_plant(self, b, qx):
+        # qu + b p b = 0: at p = qx = 0, or with no input channel at all
+        spec = PlantSpec(A=1.0, B=b, Z=1.0, Qx=qx, Qu=0.0)
+        named = re.escape(f"gain is undefined for A=1.0, B={b}, Qx={qx}, Qu=0.0: qu + b p b = 0")
+        with pytest.raises(ValueError, match=named):
+            design_lqg(spec)
+        with pytest.raises(ValueError, match=named):
+            compute_gain(np.array([[0.0]]), spec)
 
 
 def forced_run(L, horizon, always):

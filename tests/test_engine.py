@@ -87,6 +87,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="no path reaches"):
             dataclasses.replace(sc, hop_groups=[HopGroup(0, 2), HopGroup(2, 2)])
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_must_be_positive(self, horizon):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match=f"horizon must be at least 1, got {horizon}"):
+            dataclasses.replace(sc, horizon=horizon)
+
     @pytest.mark.parametrize("capacity", [0, 1.5])
     def test_capacity_must_be_a_positive_integer(self, capacity):
         sc = make_two_hop_scenario(2, seed=0)
@@ -178,6 +184,17 @@ class TestRun:
         sc = make_two_hop_scenario(L, seed=3, horizon=1000)
         m = run(sc, tables, force_delta=np.ones((1000, L), dtype=bool))
         assert m.diverging.sum() == flagged
+
+    @pytest.mark.parametrize("horizon, flagged", [(1, 0), (2, 1), (3, 0), (4, 0)])
+    def test_stability_flag_halves_leave_out_an_odd_middle(self, tables, horizon, flagged):
+        # both loops sample once, at step 0, onto hops of one link per slot and
+        # one slot per period: the loser of the first pick still has its
+        # packet at the source at boundary 1, and nothing is left at boundary 2
+        sc = dataclasses.replace(make_two_hop_scenario(2, seed=5, horizon=horizon),
+                                 hop_groups=[HopGroup(0, 1), HopGroup(1, 1)], slots_per_step=1)
+        force = np.zeros((horizon, 2), dtype=bool)
+        force[0] = True
+        assert run(sc, tables, force_delta=force).diverging.sum() == flagged
 
     def test_class_symmetry_under_relabeling(self, tables):
         # swapping same-class loop entries leaves every aggregate unchanged

@@ -42,10 +42,10 @@ class TestDesignThreshold:
         with pytest.raises(ValueError):
             design_threshold(-1.0, *stable)
 
-    def test_iteration_cap_raises(self, stable):
-        cfg = ViConfig(max_iter=2)
-        with pytest.raises(ValueIterationError):
-            design_threshold(50.0, stable[0], stable[1], cfg)
+    def test_iteration_cap_raises(self, stable, monkeypatch):
+        monkeypatch.setattr(ViConfig, "max_iter", 2)
+        with pytest.raises(ValueIterationError, match="after 2 iterations"):
+            design_threshold(50.0, *stable)
 
 
 class TestBuildTable:
@@ -198,16 +198,6 @@ class TestPlantClassId:
     def test_plants_six_digits_alike_get_distinct_ids(self, stable):
         spec = PlantSpec(A=0.7500001, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)
         assert plant_class_id(spec, design_lqg(spec)) != plant_class_id(*stable)
-
-
-class TestViConfig:
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(ValueError):
-            ViConfig(e_max=1.0, e_step=0.5)
-
-    def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            ViConfig(span_tol=0.0)
 
 
 class TestThresholdTableInvariants:
