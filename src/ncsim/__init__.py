@@ -5,7 +5,7 @@ from .control import (InputLog, LqgSolution, PlantSpec, ReplayError,
                       estimator_deliver, solve_riccati)
 from .engine import (NonFiniteError, RunMetrics, Scenario, SweepResult,
                      make_two_hop_scenario, run, run_seed, sweep)
-from .network import (ActionSet, BufferSet, Packet, ScheduleChoice, Topology,
+from .network import (ActionSet, BufferSet, ScheduleChoice, Topology,
                       assign_flow, pick_max_weight, stability_diagnostic,
                       transmit, wsr_schedule)
 from .sampler import (ThresholdStructureError, ThresholdTable,

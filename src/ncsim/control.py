@@ -111,31 +111,31 @@ class LqgSolution:
             object.__setattr__(self, name, _as_1x1(getattr(self, name.lower())))
 
 
-def solve_riccati(spec: PlantSpec, tol: float = RICCATI_TOL,
-                  max_iter: int = RICCATI_MAX_ITER) -> np.ndarray:
+def solve_riccati(spec: PlantSpec) -> np.ndarray:
     """Stationary p, as a 1 x 1 array, by fixed-point iteration from p = qx.
 
     Raises RiccatiDivergenceError at the first non-finite iterate or if
-    |p' - p| stays above `tol` for `max_iter` iterations, and ValueError if
-    qu + b p b is zero along the way, where the gain is undefined.
+    |p' - p| stays above RICCATI_TOL for RICCATI_MAX_ITER iterations, and
+    ValueError if qu + b p b is zero along the way, where the gain is
+    undefined.
     """
     a, b, qx, qu = spec.a, spec.b, spec.qx, spec.qu
     p = qx
-    for it in range(max_iter):
+    for it in range(RICCATI_MAX_ITER):
         btp = b * p
         try:
             g = btp / (qu + btp * b)
         except ZeroDivisionError:
             raise _undefined_gain(spec) from None
         p_next = qx + a * (p - p * b * g) * a
-        if abs(p_next - p) <= tol:
+        if abs(p_next - p) <= RICCATI_TOL:
             return _as_1x1(p_next)
         if not math.isfinite(p_next):
             raise RiccatiDivergenceError(
                 f"Riccati iterate is not finite after {it + 1} iterations for A={a!r}, B={b!r}")
         p = p_next
     raise RiccatiDivergenceError(
-        f"Riccati iteration did not converge within {max_iter} iterations "
+        f"Riccati iteration did not converge within {RICCATI_MAX_ITER} iterations "
         f"for A={a!r}, B={b!r}"
     )
 

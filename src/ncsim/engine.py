@@ -12,13 +12,13 @@ Then the period's slots run, the scheduler picking links by differential
 backlog and moving packets, until the network drains: nothing enters it
 before the next boundary, so the period's remaining slots are skipped.
 
-The scheduler reads the transport's own state: `BufferSet` keeps the count
-table of queue lengths and differential backlogs per hop and loop, and per
-hop the loops bucketed by positive differential backlog (`tiers`);
-`cc_admit` and `transmit` update both for the loops they move.  Each hop
-group picks from the top buckets of its hop, and the source row prices
-the sampling decision, so a slot's work scales with the loops it touches
-and picks, not with L.
+The network holds counts only: `BufferSet` keeps queue lengths and
+differential backlogs per hop and loop, and per hop the loops bucketed by
+positive differential backlog (`tiers`); `cc_admit` and `transmit` update
+both for the loops they move.  Each hop group picks from the top buckets
+of its hop, and the source row prices the sampling decision, so a slot's
+work scales with the loops it touches and picks, not with L.  `run` keeps
+each loop's samples in flight; a delivery of the loop is its oldest.
 
 The control input for period k is computed at the *end* of the period, so
 a sample that traverses the network within its own period is used with
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ from operator import add
 import numpy as np
 
 from .control import InputLog, PlantSpec, design_lqg, estimator_deliver
-from .network import (BufferSet, Packet, TieStream, Topology, pick_max_weight,
+from .network import (BufferSet, TieStream, Topology, pick_max_weight,
                       stability_diagnostic, transmit)
 from .sampler import plant_class_id
 
@@ -53,6 +54,14 @@ _TIE_STREAM = 1_000_003  # reserved seed-sequence key for scheduler tie-breaks
 
 class NonFiniteError(ArithmeticError):
     """A loop's plant state or cost overflowed to inf or nan."""
+
+
+def _check_count(value, name: str, least: int) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer of at least `least`."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +87,9 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {self.horizon!r}")
-        if self.slots_per_step < 1:
-            raise ValueError("slots_per_step must be at least 1")
+        _check_count(self.horizon, "horizon", 1)
+        _check_count(self.slots_per_step, "slots_per_step", 1)
+        _check_count(self.seed, "seed", 0)
         paths = self.topology.paths
         if set(paths) != set(range(len(self.plants))):
             raise ValueError("topology.paths must be keyed by the loops 0..L-1")
@@ -90,11 +98,10 @@ class Scenario:
             raise ValueError(f"hop group positions must be distinct, got {positions}")
         reach = max(map(len, paths.values()), default=0)
         for group in self.hop_groups:
-            if not 0 <= group.position < reach:
+            _check_count(group.position, "hop group position", 0)
+            if group.position >= reach:
                 raise ValueError(f"hop group at position {group.position}: no path reaches it")
-            if not isinstance(group.capacity, numbers.Integral) or group.capacity < 1:
-                raise ValueError(f"hop group at position {group.position}: capacity "
-                                 f"must be an integer >= 1, got {group.capacity!r}")
+            _check_count(group.capacity, f"hop group at position {group.position}: capacity", 1)
 
     @property
     def class_labels(self) -> list:
@@ -108,8 +115,9 @@ def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000) -> Scenario:
     Every loop's path is source -> base station -> sink; the uplink and
     downlink hops each fit two unit-rate transmissions per slot.
     """
-    if L < 2 or L % 2 != 0:
-        raise ValueError("L must be an even number of loops, at least 2")
+    _check_count(L, "L", 2)
+    if L % 2:
+        raise ValueError(f"L must be an even number of loops, got {L!r}")
 
     plants = [PlantSpec(A=STABLE_A if i < L // 2 else UNSTABLE_A, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)
               for i in range(L)]
@@ -182,15 +190,18 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
 
     `tables` maps plant class ids to ThresholdTable.  `force_delta`, when
     given as a (horizon, L) boolean array, overrides the threshold sampler
-    (used by oracle tests).  Raises NonFiniteError, naming the loops, if a
-    plant state or cost overflowed; loop state is Python floats, which
-    overflow to inf and nan without a warning.
+    (used by oracle tests); any other shape is a ValueError.  Raises
+    NonFiniteError, naming the loops, if a plant state or cost overflowed;
+    loop state is Python floats, which overflow to inf and nan without a
+    warning.
     """
     if not 0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
     plants = scenario.plants
     L = len(plants)
     horizon = scenario.horizon
+    if force_delta is not None and np.shape(force_delta) != (horizon, L):
+        raise ValueError(f"force_delta must have shape {(horizon, L)}, got {np.shape(force_delta)}")
     spst = scenario.slots_per_step
     warmup = int(horizon * WARMUP_FRAC)
 
@@ -218,8 +229,9 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     xhat = [0.0] * L
     err = [0.0] * L
     input_log = InputLog(L, horizon)
-    # per loop, its newest delivered packet not yet applied (None if none);
-    # queues are FIFO, so a loop's last delivery is its newest
+    # per loop, its (birth step, state) samples in the network, oldest first,
+    # since queues are FIFO per loop, and its newest delivery not yet applied
+    inflight = [deque() for _ in range(L)]
     newest = [None] * L
 
     injected = [0] * L
@@ -264,10 +276,10 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         for i, ai, bi, neg_k, row, qxi, qui in loops:
             e = err[i]
             if m > 0:
-                packet = newest[i]
-                if packet is not None:
+                sample = newest[i]
+                if sample is not None:
                     newest[i] = None
-                    _, birth, payload = packet
+                    birth, payload = sample
                     late = birth < m - 1  # else the sample is the estimate itself
                     xhat[i] = (estimator_deliver(ai, bi, payload, window(i, birth, m - 1).tolist())
                                if late else payload)
@@ -282,7 +294,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                 xhat[i] = ai * xhat[i] + bi * ui
                 # sampler error: Eq-18 style coast/reset, resynchronized to
                 # the true estimation error whenever a delivery arrived late
-                if packet is None:
+                if sample is None:
                     e = ai * e + wi
                 else:
                     e = xi - xhat[i] if late else wi
@@ -302,7 +314,8 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         first_slot = m * spst
         remaining = total_slots - max(first_slot, warmup_slot)
         for i in sampled:
-            cc_push(Packet(i, m, x[i]))
+            inflight[i].append((m, x[i]))
+            cc_push(i)
             backlog_acc[i] += cc_admit(i) * remaining
             if m >= warmup:
                 injected[i] += 1
@@ -323,10 +336,10 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                     if pos == 0:
                         backlog_acc[i] -= remaining
             if assignments:
-                for loop, packet in transmit(buffers, assignments):
+                for loop in transmit(buffers, assignments):
                     delivered_total += 1
-                    newest[loop] = packet
-                    birth = packet.birth_step
+                    newest[loop] = sample = inflight[loop].popleft()
+                    birth = sample[0]
                     if delivered_births is not None:
                         delivered_births[loop].append(birth)
                     if birth >= warmup:
@@ -417,8 +430,9 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
     Runs on at most `workers` processes, and never on more than there are
     tasks or usable CPUs; `workers=1` runs every task in this process.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    _check_count(replications, "replications", 1)
+    _check_count(master_seed, "master_seed", 0)
+    _check_count(workers, "workers", 1)
     L_values = list(L_values)
     if len(set(L_values)) < len(L_values):
         raise ValueError(f"L_values must be distinct, got {L_values}")

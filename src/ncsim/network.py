@@ -17,9 +17,8 @@ max-weight pick reads the top buckets instead of every loop.
 from __future__ import annotations
 
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,14 +45,6 @@ class Topology:
                 prev_end = n_
 
 
-class Packet(NamedTuple):
-    """One sampled state in flight; every packet is one unit of data."""
-
-    loop_id: int
-    birth_step: int
-    payload: float
-
-
 class BufferSet:
     """Queue state as integer counts, for loops 0..L-1 along H hops at most.
 
@@ -64,8 +55,8 @@ class BufferSet:
     loops i with diff[p][i] == w, and holds no empty list and no key 0.
     cc_admit and transmit update all three for the loops they move.  cc[i]
     counts loop i's packets held by congestion control, not yet admitted to
-    position 0.  A loop's resident packets, CC buffer included, form one
-    deque in birth order, whose head is the next to be delivered.  Admitted
+    position 0.  The network holds counts only: what a packet carries stays
+    with its loop, which sees the packet leave in FIFO order.  Admitted
     data is transmittable in the admission slot, data relayed by `transmit`
     only from its next call.  Destination buffers do not exist; arrivals
     there are handed straight up.
@@ -80,12 +71,10 @@ class BufferSet:
         self.tiers = [{} for _ in range(hops)]
         # per hop p, the weight rows reading backlog[p] or backlog[p+1]
         self.affected = [range(p - 1 if p else 0, min(p + 2, hops)) for p in range(hops)]
-        self.packets = [deque() for _ in loops]
         self.cc = [0] * len(loops)
 
-    def cc_push(self, packet: Packet) -> None:
-        self.packets[packet.loop_id].append(packet)
-        self.cc[packet.loop_id] += 1
+    def cc_push(self, loop: int) -> None:
+        self.cc[loop] += 1
 
     def cc_admit(self, loop) -> int:
         """Pass-through congestion control: admit the whole CC backlog now."""
@@ -99,8 +88,8 @@ class BufferSet:
         return admitted
 
     def resident(self) -> int:
-        """Packets currently held anywhere (CC plus MAC)."""
-        return sum(map(len, self.packets))
+        """Packets currently held anywhere (CC plus MAC), summed from the counts."""
+        return sum(self.cc) + sum(map(sum, self.backlog))
 
 
 def _reweigh(diff: list, tiers: dict, loop: int, weight: int) -> None:
@@ -265,25 +254,25 @@ def wsr_schedule(link_state, link_weights: Mapping, action_set: ActionSet,
 
 
 def transmit(buffers: BufferSet, assignments: Sequence) -> list:
-    """Move one packet per scheduled link; returns [(loop, packet)] delivered packets.
+    """Move one packet per scheduled link; returns the loops whose packet was delivered.
 
     `assignments` is a sequence of (hop, loop) pairs, `hop` the position on
-    the loop's path.  Each pair moves the loop's oldest packet at that hop
+    the loop's path.  Each pair moves one of the loop's packets at that hop
     one hop on, if the buffer there holds one.  Pairs run downstream first,
     so a packet relayed in this call waits for the next one.  Packets that
     leave the path's last hop reach the loop's target and are emitted, never
-    buffered.
+    buffered: a loop is listed once per packet delivered.
     """
     delivered = []
     backlog, diff, tiers = buffers.backlog, buffers.diff, buffers.tiers
-    last, packets, affected = buffers.last, buffers.packets, buffers.affected
+    last, affected = buffers.last, buffers.affected
     for p, loop in sorted(assignments, reverse=True):
         here = backlog[p]
         if not here[loop]:
             continue
         here[loop] -= 1
         if p == last[loop]:
-            delivered.append((loop, packets[loop].popleft()))
+            delivered.append(loop)
         else:
             backlog[p + 1][loop] += 1
         for q in affected[p]:

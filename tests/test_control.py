@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsim import control
 from ncsim.control import (InputLog, PlantSpec, ReplayError,
                            RiccatiDivergenceError, compute_gain, design_lqg,
                            estimator_deliver, solve_riccati)
@@ -47,11 +48,12 @@ class TestRiccati:
             rhs = qx + a * a * p - (a * b * p) ** 2 / (qu + b * b * p)
             assert abs(p - rhs) <= 1e-9
 
-    def test_divergence_error_names_spec(self):
+    def test_divergence_error_names_spec(self, monkeypatch):
         # unstable and uncontrollable: B = 0
         spec = PlantSpec(A=2.0, B=0.0, Z=1.0, Qx=1.0, Qu=1.0)
-        with pytest.raises(RiccatiDivergenceError, match="A="):
-            solve_riccati(spec, max_iter=500)
+        monkeypatch.setattr(control, "RICCATI_MAX_ITER", 500)
+        with pytest.raises(RiccatiDivergenceError, match="within 500 iterations for A="):
+            solve_riccati(spec)
 
     def test_non_finite_iterate_raises_at_once(self):
         # p grows as 4^k, overflows after ~510 iterations and would then stay

@@ -49,6 +49,10 @@ class TestScenarioGenerator:
         with pytest.raises(ValueError):
             make_two_hop_scenario(3, seed=0)
 
+    def test_loop_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"L must be an integer, got 2\.0"):
+            make_two_hop_scenario(2.0, seed=0)
+
     def test_uplink_action_count_for_four_loops(self):
         actions = two_hop_action_set(make_two_hop_scenario(4, seed=0)).actions
         per_hop = 1 + 4 + 6  # C(4,0)+C(4,1)+C(4,2)
@@ -87,11 +91,34 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="no path reaches"):
             dataclasses.replace(sc, hop_groups=[HopGroup(0, 2), HopGroup(2, 2)])
 
+    @pytest.mark.parametrize("position, message", [(0.5, "an integer"), (-1, "at least 0")])
+    def test_hop_position_must_be_a_non_negative_integer(self, position, message):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match=f"hop group position must be {message}, got {position}"):
+            dataclasses.replace(sc, hop_groups=[HopGroup(position, 2), HopGroup(1, 2)])
+
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_must_be_positive(self, horizon):
         sc = make_two_hop_scenario(2, seed=0)
         with pytest.raises(ValueError, match=f"horizon must be at least 1, got {horizon}"):
             dataclasses.replace(sc, horizon=horizon)
+
+    def test_horizon_must_be_an_integer(self):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match=r"horizon must be an integer, got 100\.5"):
+            dataclasses.replace(sc, horizon=100.5)
+
+    @pytest.mark.parametrize("slots, message", [(2.5, "an integer"), (0, "at least 1")])
+    def test_slots_per_step_must_be_a_positive_integer(self, slots, message):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match=f"slots_per_step must be {message}, got {slots}"):
+            dataclasses.replace(sc, slots_per_step=slots)
+
+    @pytest.mark.parametrize("seed, message", [(-1, "at least 0"), (1.5, "an integer")])
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match=f"seed must be {message}, got {seed}"):
+            dataclasses.replace(sc, seed=seed)
 
     @pytest.mark.parametrize("capacity", [0, 1.5])
     def test_capacity_must_be_a_positive_integer(self, capacity):
@@ -176,6 +203,33 @@ class TestRun:
         assert m.delivered_births is not None
         for births in m.delivered_births:
             assert births == sorted(births)
+
+    def test_conservation_check_sees_a_lost_count(self, tables, monkeypatch):
+        """A transport that loses one relayed packet, delivering nothing for it,
+        breaks conservation on the next check."""
+        real = engine.transmit
+        lost = []
+
+        def lossy(buffers, assignments):
+            delivered = real(buffers, assignments)
+            relay = buffers.backlog[1]
+            if not lost and any(relay):
+                loop = next(i for i, n in enumerate(relay) if n)
+                relay[loop] -= 1
+                lost.append(loop)
+            return delivered
+
+        monkeypatch.setattr(engine, "transmit", lossy)
+        sc = make_two_hop_scenario(4, seed=2, horizon=200)
+        with pytest.raises(AssertionError, match="packet conservation broken"):
+            run(sc, tables, check_conservation=True)
+        assert lost
+
+    @pytest.mark.parametrize("shape", [(100, 6), (100, 2), (50, 4)])
+    def test_force_delta_must_be_horizon_by_loops(self, tables, shape):
+        sc = make_two_hop_scenario(4, seed=0, horizon=100)
+        with pytest.raises(ValueError, match=r"force_delta must have shape \(100, 4\)"):
+            run(sc, tables, force_delta=np.ones(shape, dtype=bool))
 
     @pytest.mark.parametrize("L, flagged", [(18, 0), (20, 0), (22, 22), (24, 24)])
     def test_stability_flag_follows_the_capacity_bound(self, tables, L, flagged):
@@ -372,6 +426,14 @@ class TestSweep:
         assert pool_sizes == [2]
         assert events == [("task", 2), ("task", 2), ("progress", 2),
                           ("task", 4), ("task", 4), ("progress", 4)]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("workers", 0, "at least 1"), ("replications", 1.5, "an integer"),
+        ("master_seed", -1, "at least 0")])
+    def test_malformed_arguments_rejected(self, tables, field, value, message):
+        args = dict(replications=2, master_seed=8, workers=1) | {field: value}
+        with pytest.raises(ValueError, match=f"{field} must be {message}, got {value}"):
+            sweep([2], tables=tables, horizon=200, **args)
 
     def test_repeated_L_rejected(self):
         # two copies of the same seeded runs would narrow that L's CI
