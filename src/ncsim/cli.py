@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import (METRIC_NAMES, NonFiniteError, SweepResult,
-                     make_two_hop_scenario, sweep, usable_cpus)
+from .engine import (METRIC_NAMES, NonFiniteError, SweepResult, _check_count,
+                     _check_loop_count, make_two_hop_scenario, sweep, usable_cpus)
 from .sampler import (ThresholdTable, ViConfig, build_table,
                       default_lambda_grid, plant_class_id)
 from .control import design_lqg
@@ -47,23 +47,23 @@ class RunConfig:
     workers: int = field(default_factory=usable_cpus)  # sweep caps it at usable_cpus()
 
     def validate(self) -> None:
-        if self.horizon < 1000:
-            raise ConfigError("horizon: must be at least 1000")
-        if self.replications < 1:
-            raise ConfigError("replications: must be at least 1")
+        """Raise ConfigError naming the config key of the first invalid field."""
+        try:  # the engine's rules for counts, named by config key
+            for key, value, least in (("horizon", self.horizon, 1000),
+                                      ("replications", self.replications, 1),
+                                      ("seed", self.seed, 0), ("workers", self.workers, 1)):
+                _check_count(value, key, least)
+            for L in self.L_values:
+                _check_loop_count(L)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0 < self.theta < math.inf:
             raise ConfigError(f"theta: must be positive and finite, got {self.theta}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be a non-negative integer, got {self.seed}")
         if not self.L_values:
             raise ConfigError("L: list must not be empty")
         for k, L in enumerate(self.L_values):
-            if L < 2 or L % 2 != 0:
-                raise ConfigError(f"L: values must be even and >= 2, got {L}")
             if L in self.L_values[:k]:
                 raise ConfigError(f"L: values must be distinct, got {L} twice")
-        if self.workers < 1:
-            raise ConfigError("workers: must be at least 1")
 
 
 def _parse_L_list(text: str) -> tuple:

@@ -93,20 +93,26 @@ class Scenario:
         paths = self.topology.paths
         if set(paths) != set(range(len(self.plants))):
             raise ValueError("topology.paths must be keyed by the loops 0..L-1")
-        positions = [group.position for group in self.hop_groups]
-        if len(set(positions)) != len(positions):
-            raise ValueError(f"hop group positions must be distinct, got {positions}")
-        reach = max(map(len, paths.values()), default=0)
         for group in self.hop_groups:
             _check_count(group.position, "hop group position", 0)
-            if group.position >= reach:
-                raise ValueError(f"hop group at position {group.position}: no path reaches it")
             _check_count(group.capacity, f"hop group at position {group.position}: capacity", 1)
+        positions = sorted(group.position for group in self.hop_groups)
+        reach = max(map(len, paths.values()), default=0)
+        if positions != list(range(reach)):  # else a packet may wait at an unserved hop
+            raise ValueError(f"hop groups must serve each path position 0..{reach - 1} "
+                             f"once, got positions {positions}")
 
     @property
     def class_labels(self) -> list:
         """Per loop "stable" if its plant has |A| < 1, else "unstable"."""
         return ["stable" if abs(p.a) < 1 else "unstable" for p in self.plants]
+
+
+def _check_loop_count(L) -> None:
+    """Raise ValueError naming L unless it is an even integer of at least 2."""
+    _check_count(L, "L", 2)
+    if L % 2:
+        raise ValueError(f"L must be an even number of loops, got {L!r}")
 
 
 def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000) -> Scenario:
@@ -115,9 +121,7 @@ def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000) -> Scenario:
     Every loop's path is source -> base station -> sink; the uplink and
     downlink hops each fit two unit-rate transmissions per slot.
     """
-    _check_count(L, "L", 2)
-    if L % 2:
-        raise ValueError(f"L must be an even number of loops, got {L!r}")
+    _check_loop_count(L)
 
     plants = [PlantSpec(A=STABLE_A if i < L // 2 else UNSTABLE_A, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)
               for i in range(L)]
@@ -335,16 +339,15 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                     assignments.append((pos, i))
                     if pos == 0:
                         backlog_acc[i] -= remaining
-            if assignments:
-                for loop in transmit(buffers, assignments):
-                    delivered_total += 1
-                    newest[loop] = sample = inflight[loop].popleft()
-                    birth = sample[0]
-                    if delivered_births is not None:
-                        delivered_births[loop].append(birth)
-                    if birth >= warmup:
-                        delivered_cnt[loop] += 1
-                        delay_sum[loop] += m - birth  # whole periods since the sample
+            for loop in transmit(buffers, assignments):
+                delivered_total += 1
+                newest[loop] = sample = inflight[loop].popleft()
+                birth = sample[0]
+                if delivered_births is not None:
+                    delivered_births[loop].append(birth)
+                if birth >= warmup:
+                    delivered_cnt[loop] += 1
+                    delay_sum[loop] += m - birth  # whole periods since the sample
 
             if check_conservation:
                 if injected_total != delivered_total + buffers.resident():
@@ -434,6 +437,10 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
     _check_count(master_seed, "master_seed", 0)
     _check_count(workers, "workers", 1)
     L_values = list(L_values)
+    if not L_values:
+        raise ValueError("L_values must not be empty")
+    for L in L_values:
+        _check_loop_count(L)
     if len(set(L_values)) < len(L_values):
         raise ValueError(f"L_values must be distinct, got {L_values}")
     tasks = [(master_seed, L, rep, horizon, theta, tables)
@@ -442,7 +449,6 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
     # CPUs only contend for them
     workers = min(workers, len(tasks), usable_cpus())
     result = SweepResult(L_values=L_values)
-    classes_seen: list = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # read in task order as runs finish, so each L is reported once its own runs are in
         raw = pool.map(_one_sweep_task, tasks) if pool else map(_one_sweep_task, tasks)
@@ -450,11 +456,10 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
             runs = [next(raw) for _ in range(replications)]
             rows = [per_metric for per_metric, _ in runs]
             result.diverging[L] = any(div for _, div in runs)
+            if not result.class_order:  # every run reports the same classes
+                result.class_order = list(rows[0]["rate"])
             for metric in METRIC_NAMES:
-                classes = list(rows[0][metric].keys())
-                for cls in classes:
-                    if cls not in classes_seen:
-                        classes_seen.append(cls)
+                for cls in result.class_order:
                     vals = np.array([row[metric][cls] for row in rows])
                     n = vals.size
                     ci = 1.96 * vals.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
@@ -462,5 +467,4 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
                         mean=float(vals.mean()), ci95=float(ci), n=n)
             if progress is not None:
                 progress(L, result)
-    result.class_order = classes_seen
     return result

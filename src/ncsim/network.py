@@ -107,22 +107,12 @@ def _reweigh(diff: list, tiers: dict, loop: int, weight: int) -> None:
 
 
 def assign_flow(weights: Mapping, rng: np.random.Generator):
-    """Loop that wins a link: argmax weight, uniform among ties, None if all zero."""
-    best = None
-    tied = []
+    """Loop that wins a link, as `pick_max_weight` of one picks; None if no weight is positive."""
+    tiers: dict = {}
     for loop, w in weights.items():
-        if w <= 0:
-            continue
-        if best is None or w > best:
-            best = w
-            tied = [loop]
-        elif w == best:
-            tied.append(loop)
-    if not tied:
-        return None
-    if len(tied) == 1:
-        return tied[0]
-    return tied[int(rng.integers(len(tied)))]
+        if w > 0:
+            tiers.setdefault(w, []).append(loop)
+    return next(iter(pick_max_weight(tiers, 1, rng)), None)
 
 
 class TieStream:
@@ -184,7 +174,8 @@ def pick_max_weight(tiers: dict, capacity: int, rng: TieStream) -> list:
     Per-hop max-weight selection over one hop's `BufferSet.tiers` map: tiers
     are taken whole from the top weight down while they fit; the first tier
     larger than the remaining capacity is sampled without replacement from
-    the TieStream `rng`.  `tiers` is only read.
+    the TieStream `rng`; a numpy Generator serves at capacity <= 2 only, as
+    its `choice` draws with replacement.  `tiers` is only read.
     """
     chosen: list = []
     need = capacity

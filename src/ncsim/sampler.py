@@ -144,8 +144,6 @@ class _ErrorGridMdp:
     """Precomputed grid geometry and noise quadrature for one plant class."""
 
     def __init__(self, a: float, qe: float, z: float, cfg: ViConfig):
-        self.a = a
-        self.qe = qe
         self.cfg = cfg
         half = int(round(cfg.e_max / cfg.e_step))
         self.grid = (np.arange(-half, half + 1)) * cfg.e_step

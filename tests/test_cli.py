@@ -229,6 +229,21 @@ class TestRunExperiment:
             assert flag[2:] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, key, value", [
+        ("replications", "replications", 1.5), ("workers", "workers", 2.5),
+        ("seed", "seed", 1.5), ("horizon", "horizon", 1000.5), ("L_values", "L", (2.0,))],
+        ids=["replications", "workers", "seed", "horizon", "L"])
+    def test_non_integer_count_exits_before_tables(self, tmp_path, monkeypatch,
+                                                   field, key, value):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("tables built for an invalid config")
+        monkeypatch.setattr(cli, "load_or_build_tables", no_tables)
+        cfg = RunConfig(**{"L_values": (2,), "horizon": 1000, "replications": 1,
+                           "out_dir": str(tmp_path / "out"), field: value})
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got "):
+            run_experiment(cfg, log=lambda *a: None)
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_vi_settings_exit_before_tables(self, tmp_path, monkeypatch, capsys):
         def no_tables(*args, **kwargs):
             raise AssertionError("tables built for an invalid config")

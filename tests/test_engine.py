@@ -81,15 +81,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="0..L-1"):
             dataclasses.replace(sc, topology=topo)
 
-    def test_hop_positions_must_be_distinct(self):
+    @pytest.mark.parametrize("groups", [
+        [HopGroup(0, 2), HopGroup(0, 1)],  # position 0 twice
+        [HopGroup(0, 2), HopGroup(2, 2)],  # no path reaches position 2
+        [HopGroup(0, 2)],  # nothing serves position 1: its packets would starve
+        [],
+    ], ids=["repeated", "unreachable", "uncovered", "none"])
+    def test_hop_groups_serve_each_path_position_once(self, groups):
         sc = make_two_hop_scenario(2, seed=0)
-        with pytest.raises(ValueError, match="distinct"):
-            dataclasses.replace(sc, hop_groups=[HopGroup(0, 2), HopGroup(0, 1)])
-
-    def test_hop_position_must_be_on_a_path(self):
-        sc = make_two_hop_scenario(2, seed=0)
-        with pytest.raises(ValueError, match="no path reaches"):
-            dataclasses.replace(sc, hop_groups=[HopGroup(0, 2), HopGroup(2, 2)])
+        with pytest.raises(ValueError, match=r"serve each path position 0\.\.1 once"):
+            dataclasses.replace(sc, hop_groups=groups)
 
     @pytest.mark.parametrize("position, message", [(0.5, "an integer"), (-1, "at least 0")])
     def test_hop_position_must_be_a_non_negative_integer(self, position, message):
@@ -434,6 +435,17 @@ class TestSweep:
         args = dict(replications=2, master_seed=8, workers=1) | {field: value}
         with pytest.raises(ValueError, match=f"{field} must be {message}, got {value}"):
             sweep([2], tables=tables, horizon=200, **args)
+
+    @pytest.mark.parametrize("L_values, message", [
+        ([], "L_values must not be empty"), ([2.0], "L must be an integer, got 2.0"),
+        ([2, 3], "L must be an even number of loops, got 3")])
+    def test_malformed_loop_counts_rejected_before_any_run(self, L_values, message,
+                                                           monkeypatch):
+        def no_run(args):
+            raise AssertionError("a run started for a malformed L")
+        monkeypatch.setattr(engine, "_one_sweep_task", no_run)
+        with pytest.raises(ValueError, match=message):
+            sweep(L_values, replications=1, master_seed=8, tables={}, horizon=200)
 
     def test_repeated_L_rejected(self):
         # two copies of the same seeded runs would narrow that L's CI

@@ -115,6 +115,44 @@ class TestAssignFlow:
         sigma = (n * 0.25) ** 0.5
         assert abs(wins - n / 2) <= 3 * sigma
 
+    def test_nan_weight_is_skipped(self):
+        # a NaN is not a positive weight, wherever it comes in the map
+        rng = np.random.default_rng(0)
+        assert assign_flow({1: float("nan"), 2: 1.0}, rng) == 2
+        assert assign_flow({1: float("nan")}, rng) is None
+
+    @staticmethod
+    def scanning_assign_flow(weights, rng):
+        """The former list-scanning `assign_flow`, kept as the reference."""
+        best = None
+        tied = []
+        for loop, w in weights.items():
+            if w <= 0:
+                continue
+            if best is None or w > best:
+                best = w
+                tied = [loop]
+            elif w == best:
+                tied.append(loop)
+        if not tied:
+            return None
+        if len(tied) == 1:
+            return tied[0]
+        return tied[int(rng.integers(len(tied)))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.dictionaries(
+               st.integers(0, 40),
+               st.one_of(st.integers(-2, 4), st.integers(-2, 4).map(float),
+                         st.floats(allow_nan=False)),
+               max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_scanning_pick(self, weights, seed):
+        """Same winner and the same Generator draws as the list-scanning pick."""
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert assign_flow(weights, rng) == self.scanning_assign_flow(weights, want_rng)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
 
 class TestPickMaxWeight:
     @settings(max_examples=400, deadline=None)
