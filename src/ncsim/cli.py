@@ -9,7 +9,6 @@ header ``L,class,mean,ci95_halfwidth,replications`` plus a combined
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import zlib
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .engine import (METRIC_NAMES, NonFiniteError, SweepResult, _check_count,
-                     _check_loop_count, make_two_hop_scenario, sweep, usable_cpus)
+                     _check_sweep_args, make_two_hop_scenario, sweep, usable_cpus)
 from .sampler import (ThresholdTable, ViConfig, build_table,
                       default_lambda_grid, plant_class_id)
 from .control import design_lqg
@@ -47,23 +46,14 @@ class RunConfig:
     workers: int = field(default_factory=usable_cpus)  # sweep caps it at usable_cpus()
 
     def validate(self) -> None:
-        """Raise ConfigError naming the config key of the first invalid field."""
-        try:  # the engine's rules for counts, named by config key
-            for key, value, least in (("horizon", self.horizon, 1000),
-                                      ("replications", self.replications, 1),
-                                      ("seed", self.seed, 0), ("workers", self.workers, 1)):
-                _check_count(value, key, least)
-            for L in self.L_values:
-                _check_loop_count(L)
+        """Raise ConfigError naming the first invalid field: `sweep`'s rules, horizon >= 1000."""
+        try:
+            _check_count(self.horizon, "horizon", 1000)
+            _check_count(self.seed, "seed", 0)
+            _check_sweep_args(self.L_values, self.replications, self.seed,
+                              self.horizon, self.theta, self.workers)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not 0 < self.theta < math.inf:
-            raise ConfigError(f"theta: must be positive and finite, got {self.theta}")
-        if not self.L_values:
-            raise ConfigError("L: list must not be empty")
-        for k, L in enumerate(self.L_values):
-            if L in self.L_values[:k]:
-                raise ConfigError(f"L: values must be distinct, got {L} twice")
 
 
 def _parse_L_list(text: str) -> tuple:
@@ -83,7 +73,7 @@ _KEY_PARSERS = {
 }
 
 def _read_config_file(path: str) -> dict:
-    entries = {}
+    entries, first_line = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -92,7 +82,9 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            entries[key] = value
+            if key in entries:  # else the later line would silently win
+                raise ConfigError(f"{path}:{lineno}: {key} already set on line {first_line[key]}")
+            entries[key], first_line[key] = value, lineno
     return entries
 
 
@@ -246,12 +238,7 @@ def run_experiment(cfg: RunConfig, log=print) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        return run_experiment(cfg)
+        return run_experiment(parse_config(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

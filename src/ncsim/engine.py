@@ -64,6 +64,12 @@ def _check_count(value, name: str, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
+def _check_theta(theta) -> None:
+    """Raise ValueError naming theta unless it is a positive, finite real number."""
+    if not (isinstance(theta, numbers.Real) and 0 < theta < math.inf):
+        raise ValueError(f"theta must be positive and finite, got {theta!r}")
+
+
 @dataclass(frozen=True)
 class HopGroup:
     """One shared hop: links at `position` along every path, `capacity` of them per slot.
@@ -199,8 +205,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     loop state is Python floats, which overflow to inf and nan without a
     warning.
     """
-    if not 0 < theta < math.inf:
-        raise ValueError(f"theta must be positive and finite, got {theta!r}")
+    _check_theta(theta)
     plants = scenario.plants
     L = len(plants)
     horizon = scenario.horizon
@@ -425,24 +430,31 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _check_sweep_args(L_values, replications, master_seed, horizon, theta, workers) -> None:
+    """Raise ValueError naming the first `sweep` argument that no run could take."""
+    if not L_values:
+        raise ValueError("L_values must not be empty")
+    for k, L in enumerate(L_values):
+        _check_loop_count(L)
+        if L in L_values[:k]:  # two copies of the same seeded runs would narrow the CI
+            raise ValueError(f"L_values must be distinct, got {L} twice")
+    _check_count(replications, "replications", 1)
+    _check_count(master_seed, "master_seed", 0)
+    _check_count(horizon, "horizon", 1)
+    _check_theta(theta)
+    _check_count(workers, "workers", 1)
+
+
 def sweep(L_values, replications: int, master_seed: int, tables: dict,
           horizon: int = 10_000, theta: float = 1.0, workers: int = 1,
           progress=None) -> SweepResult:
     """Independent seeded runs for every (L, replication), then normal CIs.
 
-    Runs on at most `workers` processes, and never on more than there are
-    tasks or usable CPUs; `workers=1` runs every task in this process.
+    Checks `L_values`, the counts and `theta` before any run or pool.  Uses at most `workers`
+    processes, no more than tasks or usable CPUs; `workers=1` runs all in this process.
     """
-    _check_count(replications, "replications", 1)
-    _check_count(master_seed, "master_seed", 0)
-    _check_count(workers, "workers", 1)
     L_values = list(L_values)
-    if not L_values:
-        raise ValueError("L_values must not be empty")
-    for L in L_values:
-        _check_loop_count(L)
-    if len(set(L_values)) < len(L_values):
-        raise ValueError(f"L_values must be distinct, got {L_values}")
+    _check_sweep_args(L_values, replications, master_seed, horizon, theta, workers)
     tasks = [(master_seed, L, rep, horizon, theta, tables)
              for L in L_values for rep in range(replications)]
     # a pool starts all its workers at the first submit, and more than the

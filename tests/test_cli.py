@@ -89,13 +89,29 @@ class TestParseConfig:
             parse_config(["--L", "2,3"])
 
     def test_repeated_L_names_the_value(self):
-        with pytest.raises(ConfigError, match="^L: .*got 4 twice"):
+        with pytest.raises(ConfigError, match="^L_values must be distinct, got 4 twice$"):
             parse_config(["--L", "2,4,6,4"])
 
+    def test_repeated_file_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for first, second in (("theta=2", "theta=0.5"), ("L=2", "L=4")):
+            key = first.split("=")[0]
+            path.write_text(f"{first}\n# {key} once more:\n{second}\n")
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: "
+                                                  f"{key} already set on line 1$"):
+                parse_config(["--config", str(path)])
+            assert main(["--config", str(path)]) == EXIT_CONFIG_ERROR
+        # a flag still overrides the file, and a repeated flag is last-wins
+        path.write_text("theta=2\n")
+        assert parse_config(["--config", str(path), "--theta", "0.5", "--theta", "0.7"]).theta == 0.7
+
     def test_non_finite_theta_names_field(self):
-        for value in ("nan", "inf", "-inf"):
-            with pytest.raises(ConfigError, match="theta"):
+        for value in ("nan", "inf", "-inf", "0", "-1"):
+            with pytest.raises(ConfigError, match="^theta must be positive and finite, got "):
                 parse_config([f"--theta={value}"])
+        for value in ("1", None):  # only a programmatic config holds a non-number
+            with pytest.raises(ConfigError, match="^theta must be positive and finite, got "):
+                RunConfig(theta=value).validate()
 
     def test_negative_seed_names_field(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -265,7 +281,7 @@ class TestRunExperiment:
         rc = main(["--L", "2,2", "--horizon", "1000", "--replications", "2",
                    "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
         assert rc == EXIT_CONFIG_ERROR
-        assert "L: " in capsys.readouterr().err
+        assert "config error: L_values must be distinct, got 2 twice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_malformed_flag_value_is_a_config_error(self, capsys):

@@ -251,6 +251,14 @@ class TestRun:
         force[0] = True
         assert run(sc, tables, force_delta=force).diverging.sum() == flagged
 
+    def test_l44_settles_at_theta_08_and_is_flagged_at_06(self, tables):
+        # pins the edge between settling and diverging; 911 steps is the shortest
+        # horizon at which both hold for all four seeds
+        for s in range(4):
+            sc = make_two_hop_scenario(44, seed=run_seed(s, 44, 0), horizon=911)
+            assert not run(sc, tables, theta=0.8).diverging.any()
+            assert run(sc, tables, theta=0.6).diverging.any()
+
     def test_class_symmetry_under_relabeling(self, tables):
         # swapping same-class loop entries leaves every aggregate unchanged
         sc1 = make_two_hop_scenario(4, seed=9, horizon=1000)
@@ -291,7 +299,7 @@ class TestRun:
 
     def test_non_finite_theta_rejected(self, tables):
         sc = make_two_hop_scenario(2, seed=0, horizon=1000)
-        for theta in (math.nan, math.inf):
+        for theta in (math.nan, math.inf, "1", None):
             with pytest.raises(ValueError, match="theta"):
                 run(sc, tables, theta=theta)
 
@@ -436,16 +444,24 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"{field} must be {message}, got {value}"):
             sweep([2], tables=tables, horizon=200, **args)
 
-    @pytest.mark.parametrize("L_values, message", [
-        ([], "L_values must not be empty"), ([2.0], "L must be an integer, got 2.0"),
-        ([2, 3], "L must be an even number of loops, got 3")])
-    def test_malformed_loop_counts_rejected_before_any_run(self, L_values, message,
+    @pytest.mark.parametrize("L_values, message, args", [
+        ([], "L_values must not be empty", {}), ([2.0], "L must be an integer, got 2.0", {}),
+        ([2, 3], "L must be an even number of loops, got 3", {}),
+        ([2], "theta must be positive and finite, got nan", {"theta": math.nan}),
+        ([2], "theta must be positive and finite, got '1'", {"theta": "1"}),
+        ([2], "horizon must be at least 1, got 0", {"horizon": 0}),
+        ([2], "horizon must be an integer, got 100.5", {"horizon": 100.5}),
+        ([2, 4], "theta must be positive and finite, got inf", {"theta": math.inf, "workers": 2})])
+    def test_malformed_loop_counts_rejected_before_any_run(self, L_values, message, args,
                                                            monkeypatch):
-        def no_run(args):
-            raise AssertionError("a run started for a malformed L")
+        def no_run(*a, **kw):
+            raise AssertionError("a run or pool started for a malformed argument")
         monkeypatch.setattr(engine, "_one_sweep_task", no_run)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_run)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)  # workers=2 would start a pool
+        args = dict(replications=1, master_seed=8, tables={}, horizon=200) | args
         with pytest.raises(ValueError, match=message):
-            sweep(L_values, replications=1, master_seed=8, tables={}, horizon=200)
+            sweep(L_values, **args)
 
     def test_repeated_L_rejected(self):
         # two copies of the same seeded runs would narrow that L's CI
