@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import (METRIC_NAMES, NonFiniteError, SweepResult, _check_count,
-                     _check_sweep_args, make_two_hop_scenario, sweep, usable_cpus)
+from .engine import (METRIC_NAMES, TWO_HOP_PLANTS, NonFiniteError, SweepResult,
+                     _check_count, _check_sweep_args, sweep, usable_cpus)
 from .sampler import (ThresholdTable, ViConfig, build_table,
                       default_lambda_grid, plant_class_id)
 from .control import design_lqg
@@ -48,6 +48,7 @@ class RunConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the first invalid field: `sweep`'s rules, horizon >= 1000."""
         try:
+            # at shorter horizons the stability flag reads queues filling from empty as growth
             _check_count(self.horizon, "horizon", 1000)
             _check_count(self.seed, "seed", 0)
             _check_sweep_args(self.L_values, self.replications, self.seed,
@@ -146,8 +147,7 @@ def load_or_build_tables(cfg: RunConfig, log=print) -> dict:
     """Threshold tables for both plant classes, cached as plain-text files."""
     lambdas = default_lambda_grid()
     tables = {}
-    # the two plant classes; PlantSpec hashes by its numbers
-    for spec in dict.fromkeys(make_two_hop_scenario(2, seed=0, horizon=1000).plants):
+    for spec in TWO_HOP_PLANTS:
         sol = design_lqg(spec)
         cid = plant_class_id(spec, sol)
         cache_path = None
@@ -212,6 +212,7 @@ def write_metric_csvs(result: SweepResult, out_dir: str) -> list:
 def run_experiment(cfg: RunConfig, log=print) -> int:
     """Full pipeline: validation, tables, sweep, CSVs.  Returns the process exit code."""
     cfg.validate()
+    os.makedirs(cfg.out_dir, exist_ok=True)  # an unwritable --out fails before any work
     tables = load_or_build_tables(cfg, log=log)
 
     def progress(L, partial: SweepResult):

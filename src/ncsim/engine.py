@@ -15,8 +15,8 @@ before the next boundary, so the period's remaining slots are skipped.
 The network holds counts only: `BufferSet` keeps queue lengths and
 differential backlogs per hop and loop, and per hop the loops bucketed by
 positive differential backlog (`tiers`); `cc_admit` and `transmit` update
-both for the loops they move.  Each hop group picks from the top buckets
-of its hop, and the source row prices the sampling decision, so a slot's
+both for the loops they move.  Each hop picks up to its capacity from its
+top buckets, and the source row prices the sampling decision, so a slot's
 work scales with the loops it touches and picks, not with L.  `run` keeps
 each loop's samples in flight; a delivery of the loop is its oldest.
 
@@ -44,8 +44,8 @@ from .network import (BufferSet, TieStream, Topology, pick_max_weight,
                       stability_diagnostic, transmit)
 from .sampler import plant_class_id
 
-STABLE_A = 0.75
-UNSTABLE_A = 1.25
+# the two-hop scenario's plant classes: stable (the first L/2 loops), then unstable
+TWO_HOP_PLANTS = tuple(PlantSpec(A=a, B=1.0, Z=1.0, Qx=1.0, Qu=0.0) for a in (0.75, 1.25))
 SLOTS_PER_STEP = 10  # network slots per control period in the two-hop scenario
 WARMUP_FRAC = 0.1  # leading share of every run left out of the metrics
 
@@ -70,24 +70,13 @@ def _check_theta(theta) -> None:
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
 
 
-@dataclass(frozen=True)
-class HopGroup:
-    """One shared hop: links at `position` along every path, `capacity` of them per slot.
-
-    Each scheduled link moves one packet per slot.
-    """
-
-    position: int
-    capacity: int
-
-
 @dataclass
 class Scenario:
     """Everything one run needs: loops, transport, timing, seeding."""
 
     plants: list
     topology: Topology
-    hop_groups: list
+    capacities: tuple  # per path position, its links per slot; a link moves one packet
     slots_per_step: int
     horizon: int
     seed: int
@@ -99,14 +88,12 @@ class Scenario:
         paths = self.topology.paths
         if set(paths) != set(range(len(self.plants))):
             raise ValueError("topology.paths must be keyed by the loops 0..L-1")
-        for group in self.hop_groups:
-            _check_count(group.position, "hop group position", 0)
-            _check_count(group.capacity, f"hop group at position {group.position}: capacity", 1)
-        positions = sorted(group.position for group in self.hop_groups)
+        for pos, capacity in enumerate(self.capacities):
+            _check_count(capacity, f"capacity at path position {pos}", 1)
         reach = max(map(len, paths.values()), default=0)
-        if positions != list(range(reach)):  # else a packet may wait at an unserved hop
-            raise ValueError(f"hop groups must serve each path position 0..{reach - 1} "
-                             f"once, got positions {positions}")
+        if len(self.capacities) != reach:  # else a packet may wait at an unserved hop
+            raise ValueError(f"capacities must give one capacity per path position, "
+                             f"{reach} for the longest path, got {len(self.capacities)}")
 
     @property
     def class_labels(self) -> list:
@@ -129,13 +116,10 @@ def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000) -> Scenario:
     """
     _check_loop_count(L)
 
-    plants = [PlantSpec(A=STABLE_A if i < L // 2 else UNSTABLE_A, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)
-              for i in range(L)]
+    plants = [TWO_HOP_PLANTS[i >= L // 2] for i in range(L)]
     topology = Topology(paths={i: ((f"src{i}", "bs"), ("bs", f"dst{i}")) for i in range(L)})
-    hop_groups = [HopGroup(position=0, capacity=2), HopGroup(position=1, capacity=2)]
-    return Scenario(plants=plants, topology=topology,
-                    hop_groups=hop_groups, slots_per_step=SLOTS_PER_STEP,
-                    horizon=horizon, seed=seed)
+    return Scenario(plants=plants, topology=topology, capacities=(2, 2),
+                    slots_per_step=SLOTS_PER_STEP, horizon=horizon, seed=seed)
 
 
 @dataclass
@@ -193,6 +177,15 @@ def _loop_rng_seed(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, key]))
 
 
+def _design(plant: PlantSpec, tables: dict):
+    """The plant's LQG solution and its class's threshold table; KeyError if `tables` has none."""
+    sol = design_lqg(plant)
+    cid = plant_class_id(plant, sol)
+    if cid not in tables:
+        raise KeyError(f"no threshold table for plant class {cid}")
+    return sol, tables[cid]
+
+
 def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         force_delta: np.ndarray | None = None, record_errors: bool = False,
         check_conservation: bool = False) -> RunMetrics:
@@ -218,13 +211,10 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     loops = []  # per loop: (index, a, b, -K, threshold row, Qx, Qu)
     for i, p in enumerate(plants):
         if p not in per_plant:
-            sol = design_lqg(p)
-            cid = plant_class_id(p, sol)
-            if cid not in tables:
-                raise KeyError(f"no threshold table for plant class {cid}")
+            sol, table = _design(p, tables)
             # M(theta * B) for every source backlog B a run can reach: a source
             # holds at most one packet per elapsed period
-            row = tables[cid].lookup_many(theta * np.arange(horizon + 1)).tolist()
+            row = table.lookup_many(theta * np.arange(horizon + 1)).tolist()
             per_plant[p] = (-sol.k, row)
         loops.append((i, p.a, p.b, *per_plant[p], p.qx, p.qu))
 
@@ -265,9 +255,9 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
 
     buffers = BufferSet(scenario.topology)
     q0 = buffers.backlog[0]
-    # per hop group: (position on the paths, its loops by weight, capacity)
-    sched = [(group.position, buffers.tiers[group.position], group.capacity)
-             for group in scenario.hop_groups]
+    # per hop: (position on the paths, its loops by weight, capacity)
+    sched = [(pos, buffers.tiers[pos], capacity)
+             for pos, capacity in enumerate(scenario.capacities)]
     window, prune, record = input_log.window, input_log.prune, input_log.record
     cc_push, cc_admit = buffers.cc_push, buffers.cc_admit
 
@@ -450,11 +440,14 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
           progress=None) -> SweepResult:
     """Independent seeded runs for every (L, replication), then normal CIs.
 
-    Checks `L_values`, the counts and `theta` before any run or pool.  Uses at most `workers`
-    processes, no more than tasks or usable CPUs; `workers=1` runs all in this process.
+    Checks `L_values`, the counts, `theta` and that `tables` has both plant classes before
+    any run or pool.  Uses at most `workers` processes, no more than tasks or usable CPUs;
+    `workers=1` runs all in this process.
     """
     L_values = list(L_values)
     _check_sweep_args(L_values, replications, master_seed, horizon, theta, workers)
+    for plant in TWO_HOP_PLANTS:
+        _design(plant, tables)
     tasks = [(master_seed, L, rep, horizon, theta, tables)
              for L in L_values for rep in range(replications)]
     # a pool starts all its workers at the first submit, and more than the

@@ -278,7 +278,10 @@ def stability_diagnostic(first, second) -> np.ndarray:
     A loop is flagged as diverging when its second-half sum exceeds twice
     its first-half sum.  Over halves of h steps each, that is the rule on
     the half-averages, second/h > 2 first/h: the sums are exact integers
-    below 2**52, so dividing them by h keeps their order.
+    below 2**52, so dividing them by h keeps their order.  The first half
+    starts from empty queues, so over a short run their filling up reads as
+    growth: at L=44, theta=0.8, 50-step runs flag 4/3/2/0 loops for master
+    seeds 0..3, while 150 to 1000 steps flag none.
     """
     first, second = np.asarray(first), np.asarray(second)
     return (second > 2 * first) & (second > 0)

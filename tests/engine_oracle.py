@@ -323,7 +323,6 @@ def run(scenario, tables: dict, theta: float = 1.0,
 
     warmup_slot = warmup * spst
     total_slots = horizon * spst
-    groups = scenario.hop_groups
 
     for slot in range(total_slots):
         if slot % spst == 0:
@@ -388,8 +387,7 @@ def run(scenario, tables: dict, theta: float = 1.0,
             for i in range(L):
                 backlog_acc[i] += lens[i][0]
         assignments = []
-        for group in groups:
-            pos = group.position
+        for pos, capacity in enumerate(scenario.capacities):
             cand_w = []
             cand_i = []
             for i in range(L):
@@ -404,7 +402,7 @@ def run(scenario, tables: dict, theta: float = 1.0,
                 if wgt > 0:
                     cand_w.append(wgt)
                     cand_i.append(i)
-            for i in _pick_max_weight(cand_w, cand_i, group.capacity, tie_rng):
+            for i in _pick_max_weight(cand_w, cand_i, capacity, tie_rng):
                 assignments.append((scenario.topology.paths[i][pos], i, 1))
         if assignments:
             for loop, packet in transmit(buffers, assignments, slot):

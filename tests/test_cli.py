@@ -231,6 +231,18 @@ class TestRunExperiment:
                    "--out", str(blocker / "nested")])
         assert rc == EXIT_RUNTIME_ERROR
 
+    def test_unwritable_out_exits_before_tables(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("tables or runs started for an unwritable --out")
+        monkeypatch.setattr(cli, "build_table", no_work)
+        monkeypatch.setattr(cli, "sweep", no_work)
+        blocker = tmp_path / "blocked"
+        blocker.write_text("")
+        rc = main(["--L", "2,4", "--horizon", "1000", "--replications", "2", "--workers", "1",
+                   "--out", str(blocker / "out"), "--cache", str(tmp_path / "cache")])
+        assert rc == EXIT_RUNTIME_ERROR
+        assert "Not a directory" in capsys.readouterr().err
+
     def test_config_error_exit_code(self):
         assert main(["--replications", "0"]) == EXIT_CONFIG_ERROR
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ncsim import engine
 from ncsim.cli import RunConfig, load_or_build_tables
 from ncsim.control import PlantSpec, design_lqg
-from ncsim.engine import (HopGroup, NonFiniteError, Scenario,
+from ncsim.engine import (NonFiniteError, Scenario,
                           make_two_hop_scenario, run, run_seed, sweep)
 from ncsim.network import ActionSet, TieStream, Topology, pick_max_weight, wsr_schedule
 from ncsim.sampler import ThresholdTable, plant_class_id
@@ -25,12 +25,12 @@ def tables():
 
 
 def two_hop_action_set(sc):
-    """The WSR oracle's joint actions: per hop up to its group's capacity of unit-rate links."""
-    hops = [[sc.topology.paths[i][g.position] for i in range(len(sc.plants))]
-            for g in sc.hop_groups]
-    choices = [[c for size in range(g.capacity + 1)
+    """The WSR oracle's joint actions: per hop up to its capacity of unit-rate links."""
+    hops = [[sc.topology.paths[i][pos] for i in range(len(sc.plants))]
+            for pos in range(len(sc.capacities))]
+    choices = [[c for size in range(capacity + 1)
                 for c in itertools.combinations(range(len(links)), size)]
-               for g, links in zip(sc.hop_groups, hops)]
+               for capacity, links in zip(sc.capacities, hops)]
 
     def rate_fn(link_state, action):
         return {hops[h][i]: 1 for h, picked in enumerate(action) for i in picked}
@@ -63,7 +63,7 @@ class TestScenarioGenerator:
 
     def test_transmission_opportunities_per_period(self):
         sc = make_two_hop_scenario(6, seed=0)
-        per_hop_capacity = sc.hop_groups[0].capacity
+        per_hop_capacity = sc.capacities[0]
         assert per_hop_capacity * sc.slots_per_step == 20
 
     def test_paths_are_two_hops_via_base_station(self):
@@ -81,22 +81,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="0..L-1"):
             dataclasses.replace(sc, topology=topo)
 
-    @pytest.mark.parametrize("groups", [
-        [HopGroup(0, 2), HopGroup(0, 1)],  # position 0 twice
-        [HopGroup(0, 2), HopGroup(2, 2)],  # no path reaches position 2
-        [HopGroup(0, 2)],  # nothing serves position 1: its packets would starve
-        [],
-    ], ids=["repeated", "unreachable", "uncovered", "none"])
-    def test_hop_groups_serve_each_path_position_once(self, groups):
+    @pytest.mark.parametrize("capacities", [
+        (2, 2, 2),  # no path reaches position 2
+        (2,),  # nothing serves position 1: its packets would starve
+        (),
+    ], ids=["too_many", "too_few", "none"])
+    def test_one_capacity_per_path_position(self, capacities):
         sc = make_two_hop_scenario(2, seed=0)
-        with pytest.raises(ValueError, match=r"serve each path position 0\.\.1 once"):
-            dataclasses.replace(sc, hop_groups=groups)
-
-    @pytest.mark.parametrize("position, message", [(0.5, "an integer"), (-1, "at least 0")])
-    def test_hop_position_must_be_a_non_negative_integer(self, position, message):
-        sc = make_two_hop_scenario(2, seed=0)
-        with pytest.raises(ValueError, match=f"hop group position must be {message}, got {position}"):
-            dataclasses.replace(sc, hop_groups=[HopGroup(position, 2), HopGroup(1, 2)])
+        with pytest.raises(ValueError, match=r"one capacity per path position, 2 for the "
+                                             rf"longest path, got {len(capacities)}"):
+            dataclasses.replace(sc, capacities=capacities)
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_must_be_positive(self, horizon):
@@ -125,12 +119,12 @@ class TestScenarioValidation:
     def test_capacity_must_be_a_positive_integer(self, capacity):
         sc = make_two_hop_scenario(2, seed=0)
         with pytest.raises(ValueError, match="capacity"):
-            dataclasses.replace(sc, hop_groups=[HopGroup(0, capacity), HopGroup(1, 2)])
+            dataclasses.replace(sc, capacities=(capacity, 2))
 
     def test_class_labels_follow_the_plants(self):
         plants = [PlantSpec(A=a, B=1.0, Z=1.0, Qx=1.0, Qu=0.0) for a in (0.5, 1.1, 0.9)]
         topo = Topology(paths={i: ((f"s{i}", f"d{i}"),) for i in range(3)})
-        sc = Scenario(plants=plants, topology=topo, hop_groups=[HopGroup(0, 3)],
+        sc = Scenario(plants=plants, topology=topo, capacities=(3,),
                       slots_per_step=1, horizon=200, seed=1)
         assert sc.class_labels == ["stable", "unstable", "stable"]
         tables = {}
@@ -190,7 +184,7 @@ class TestRun:
         cid = plant_class_id(spec, sol)
         topo = Topology(paths={0: (("s", "bs"), ("bs", "d"))})
         sc = Scenario(plants=[spec], topology=topo,
-                      hop_groups=[HopGroup(0, 2), HopGroup(1, 2)], slots_per_step=10,
+                      capacities=(2, 2), slots_per_step=10,
                       horizon=500, seed=1)
         table = ThresholdTable(lambdas=np.array([0.0, 1.0]),
                                thresholds=np.array([0.0, 0.0]), class_id=cid)
@@ -246,7 +240,7 @@ class TestRun:
         # one slot per period: the loser of the first pick still has its
         # packet at the source at boundary 1, and nothing is left at boundary 2
         sc = dataclasses.replace(make_two_hop_scenario(2, seed=5, horizon=horizon),
-                                 hop_groups=[HopGroup(0, 1), HopGroup(1, 1)], slots_per_step=1)
+                                 capacities=(1, 1), slots_per_step=1)
         force = np.zeros((horizon, 2), dtype=bool)
         force[0] = True
         assert run(sc, tables, force_delta=force).diverging.sum() == flagged
@@ -289,7 +283,7 @@ class TestRun:
         plants = ([PlantSpec(A=0.75, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)] * 2
                   + [PlantSpec(A=1.25, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)])
         topo = Topology(paths={i: ((f"s{i}", f"d{i}"),) for i in range(3)})
-        sc = Scenario(plants=plants, topology=topo, hop_groups=[HopGroup(0, 1)], slots_per_step=1,
+        sc = Scenario(plants=plants, topology=topo, capacities=(1,), slots_per_step=1,
                       horizon=horizon, seed=1)
         force = np.zeros((horizon, 3), dtype=bool)
         force[:3300, :2] = True
@@ -349,9 +343,9 @@ class TestSchedulerFastPath:
                 weights[downlinks[i]] = mid[i]
             choice = wsr_schedule(None, weights, action_set, np.random.default_rng(0))
             total = 0.0
-            for group, links in zip(sc.hop_groups, (uplinks, downlinks)):
+            for capacity, links in zip(sc.capacities, (uplinks, downlinks)):
                 hop = [weights[link] for link in links]
-                picked = pick_max_weight(tier_map(hop), group.capacity,
+                picked = pick_max_weight(tier_map(hop), capacity,
                                          TieStream(np.random.PCG64(0)))
                 total += sum(hop[j] for j in picked)
             assert choice.value == total
@@ -462,6 +456,15 @@ class TestSweep:
         args = dict(replications=1, master_seed=8, tables={}, horizon=200) | args
         with pytest.raises(ValueError, match=message):
             sweep(L_values, **args)
+
+    def test_missing_table_rejected_before_any_run(self, monkeypatch):
+        def no_run(*a, **kw):
+            raise AssertionError("a run or pool started without a table")
+        monkeypatch.setattr(engine, "_one_sweep_task", no_run)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_run)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)  # workers=2 would start a pool
+        with pytest.raises(KeyError, match="a0.75_qe0.5625_z1"):
+            sweep([2, 4], 1, 1, {}, horizon=100, workers=2)
 
     def test_repeated_L_rejected(self):
         # two copies of the same seeded runs would narrow that L's CI

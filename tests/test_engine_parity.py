@@ -6,7 +6,7 @@ import pytest
 import engine_oracle
 from ncsim.cli import RunConfig, load_or_build_tables
 from ncsim.control import PlantSpec
-from ncsim.engine import HopGroup, Scenario, make_two_hop_scenario, run
+from ncsim.engine import Scenario, make_two_hop_scenario, run
 from ncsim.network import Topology
 
 ARRAY_FIELDS = ("injected", "delivered", "delay_sum", "cost_sum", "backlog_sum",
@@ -43,7 +43,7 @@ def mixed_scenario(n: int, horizon: int, seed: int) -> Scenario:
         paths[i] = ((s, "r1"), ("r1", "r2"), ("r2", d)) if i % 3 else ((s, d),)
     topology = Topology(paths=paths)
     return Scenario(plants=plants, topology=topology,
-                    hop_groups=[HopGroup(0, 3), HopGroup(1, 1), HopGroup(2, 2)],
+                    capacities=(3, 1, 2),
                     slots_per_step=10, horizon=horizon, seed=seed)
 
 
