@@ -32,6 +32,7 @@ import math
 import numbers
 import os
 from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -40,8 +41,7 @@ from operator import add
 import numpy as np
 
 from .control import InputLog, PlantSpec, design_lqg, estimator_deliver
-from .network import (BufferSet, TieStream, Topology, pick_max_weight,
-                      stability_diagnostic, transmit)
+from .network import BufferSet, TieStream, pick_max_weight, stability_diagnostic, transmit
 from .sampler import plant_class_id
 
 # the two-hop scenario's plant classes: stable (the first L/2 loops), then unstable
@@ -75,7 +75,7 @@ class Scenario:
     """Everything one run needs: loops, transport, timing, seeding."""
 
     plants: list
-    topology: Topology
+    hops: tuple  # per loop, the links on its path from source to target
     capacities: tuple  # per path position, its links per slot; a link moves one packet
     slots_per_step: int
     horizon: int
@@ -85,12 +85,17 @@ class Scenario:
         _check_count(self.horizon, "horizon", 1)
         _check_count(self.slots_per_step, "slots_per_step", 1)
         _check_count(self.seed, "seed", 0)
-        paths = self.topology.paths
-        if set(paths) != set(range(len(self.plants))):
-            raise ValueError("topology.paths must be keyed by the loops 0..L-1")
+        for name, counts in (("hops", self.hops), ("capacities", self.capacities)):
+            if not isinstance(counts, Sequence):
+                raise ValueError(f"{name} must be a sequence of counts, got {counts!r}")
+        if len(self.hops) != len(self.plants):
+            raise ValueError(f"hops must give one path length per loop, "
+                             f"{len(self.plants)} loops, got {len(self.hops)}")
+        for i, h in enumerate(self.hops):
+            _check_count(h, f"hops of loop {i}", 1)
         for pos, capacity in enumerate(self.capacities):
             _check_count(capacity, f"capacity at path position {pos}", 1)
-        reach = max(map(len, paths.values()), default=0)
+        reach = max(self.hops, default=0)
         if len(self.capacities) != reach:  # else a packet may wait at an unserved hop
             raise ValueError(f"capacities must give one capacity per path position, "
                              f"{reach} for the longest path, got {len(self.capacities)}")
@@ -111,14 +116,13 @@ def _check_loop_count(L) -> None:
 def make_two_hop_scenario(L: int, seed: int, horizon: int = 10_000) -> Scenario:
     """Desk-scale cellular setup: L/2 stable and L/2 unstable scalar loops.
 
-    Every loop's path is source -> base station -> sink; the uplink and
-    downlink hops each fit two unit-rate transmissions per slot.
+    Every loop's path is source -> base station -> sink, two hops; the
+    uplink and downlink each fit two unit-rate transmissions per slot.
     """
     _check_loop_count(L)
 
     plants = [TWO_HOP_PLANTS[i >= L // 2] for i in range(L)]
-    topology = Topology(paths={i: ((f"src{i}", "bs"), ("bs", f"dst{i}")) for i in range(L)})
-    return Scenario(plants=plants, topology=topology, capacities=(2, 2),
+    return Scenario(plants=plants, hops=(2,) * L, capacities=(2, 2),
                     slots_per_step=SLOTS_PER_STEP, horizon=horizon, seed=seed)
 
 
@@ -253,7 +257,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     warmup_slot = warmup * spst
     total_slots = horizon * spst
 
-    buffers = BufferSet(scenario.topology)
+    buffers = BufferSet(scenario.hops)
     q0 = buffers.backlog[0]
     # per hop: (position on the paths, its loops by weight, capacity)
     sched = [(pos, buffers.tiers[pos], capacity)
@@ -467,7 +471,7 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
                 for cls in result.class_order:
                     vals = np.array([row[metric][cls] for row in rows])
                     n = vals.size
-                    ci = 1.96 * vals.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+                    ci = 1.96 * vals.std(ddof=1) / math.sqrt(n) if n > 1 else math.nan
                     result.metrics[(L, cls, metric)] = SweepCell(
                         mean=float(vals.mean()), ci95=float(ci), n=n)
             if progress is not None:

@@ -2,6 +2,7 @@
 
 Each loop has one fixed path, and a hop is addressed by its position on
 that path: hop 0 leaves the source, the path's last hop reaches the target.
+No queue is shared between loops, so a path is just its number of hops.
 Packets are unit-size and FIFO per loop, so every queue is an integer count
 that `BufferSet` keeps per (position, loop), with its differential backlog
 [B_p - B_p+1]+, as Lindley dynamics move packets: each scheduled link moves
@@ -23,36 +24,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Topology:
-    """One fixed path per loop: a non-empty, connected, cycle-free tuple of (from, to) links."""
-
-    paths: dict  # loop id -> tuple of links
-
-    def __post_init__(self):
-        for loop, path in self.paths.items():
-            if not path:
-                raise ValueError(f"loop {loop}: path is empty")
-            visited = {path[0][0]}
-            prev_end = path[0][0]
-            for link in path:
-                m, n_ = link
-                if m != prev_end:
-                    raise ValueError(f"loop {loop}: path is not connected at {link}")
-                if n_ in visited:
-                    raise ValueError(f"loop {loop}: path revisits node {n_}")
-                visited.add(n_)
-                prev_end = n_
-
-
 class BufferSet:
-    """Queue state as integer counts, for loops 0..L-1 along H hops at most.
+    """Queue state as integer counts for loops 0..L-1, loop i's path `hops[i]` links long.
 
     backlog[p][i] counts loop i's packets in the MAC buffer at position p of
-    its path (0 past the path; row H is all zero) and diff[p][i] is the
-    weight [backlog[p][i] - backlog[p+1][i]]+.  tiers[p] indexes row diff[p]
-    by weight: it maps each positive weight w to the ascending list of the
-    loops i with diff[p][i] == w, and holds no empty list and no key 0.
+    its path (0 past the path; row H = max(hops) is all zero) and diff[p][i]
+    is the weight [backlog[p][i] - backlog[p+1][i]]+.  tiers[p] indexes row
+    diff[p] by weight: it maps each positive weight w to the ascending list
+    of the loops i with diff[p][i] == w, and holds no empty list and no key 0.
     cc_admit and transmit update all three for the loops they move.  cc[i]
     counts loop i's packets held by congestion control, not yet admitted to
     position 0.  The network holds counts only: what a packet carries stays
@@ -62,16 +41,16 @@ class BufferSet:
     there are handed straight up.
     """
 
-    def __init__(self, topology: Topology):
-        loops = range(len(topology.paths))
-        self.last = [len(topology.paths[i]) - 1 for i in loops]  # hop that reaches the target
-        hops = max(self.last, default=-1) + 1
-        self.backlog = [[0] * len(loops) for _ in range(hops + 1)]
-        self.diff = [[0] * len(loops) for _ in range(hops)]
-        self.tiers = [{} for _ in range(hops)]
+    def __init__(self, hops: Sequence):
+        L = len(hops)
+        self.last = [h - 1 for h in hops]  # per loop, the hop that reaches its target
+        H = max(hops, default=0)
+        self.backlog = [[0] * L for _ in range(H + 1)]
+        self.diff = [[0] * L for _ in range(H)]
+        self.tiers = [{} for _ in range(H)]
         # per hop p, the weight rows reading backlog[p] or backlog[p+1]
-        self.affected = [range(p - 1 if p else 0, min(p + 2, hops)) for p in range(hops)]
-        self.cc = [0] * len(loops)
+        self.affected = [range(p - 1 if p else 0, min(p + 2, H)) for p in range(H)]
+        self.cc = [0] * L
 
     def cc_push(self, loop: int) -> None:
         self.cc[loop] += 1

@@ -8,11 +8,14 @@ the same scenario, tables and options the two engines must return identical
 list `InputLog`, `differential_backlog`, `RunMetrics` and the per-trace
 `stability_diagnostic` are copied verbatim from earlier versions, so the
 oracle imports nothing the engine has since changed.  `_replay_scalar`
-rolls a late sample forward step by step, the estimator's recursion.  Since
-`Topology` holds only the paths, the oracle reads each loop's source,
-target and path nodes off `topology.paths`, defines its own
+rolls a late sample forward step by step, the estimator's recursion.  A
+`Scenario` gives each loop's path as its hop count, so `line_paths` names
+the links of a path of h hops n0 -> n1 -> ... -> nh, and the oracle reads
+each loop's source, target and path nodes off those paths; its buffers are
+keyed by (node, loop), so loops share no node's queue.  It defines its own
 `RateContractError`, and moves one packet per scheduled link and slot, the
-only rate hop groups take; its logic is unchanged.  Not a test module itself.
+only rate a path position takes; its logic is unchanged.  Not a test module
+itself.
 """
 
 from __future__ import annotations
@@ -26,8 +29,12 @@ import numpy as np
 
 from ncsim.control import ReplayError, design_lqg
 from ncsim.engine import _TIE_STREAM, _loop_rng_seed
-from ncsim.network import Topology
 from ncsim.sampler import plant_class_id
+
+
+def line_paths(hops) -> dict:
+    """Per loop i, its path of hops[i] links n0 -> n1 -> ..., as (from, to) node pairs."""
+    return {i: tuple((f"n{p}", f"n{p + 1}") for p in range(h)) for i, h in enumerate(hops)}
 
 
 class RateContractError(RuntimeError):
@@ -57,12 +64,12 @@ class BufferSet:
     are handed straight up.
     """
 
-    def __init__(self, topology: Topology):
-        self.topology = topology
-        self.cc = {loop: deque() for loop in topology.paths}
+    def __init__(self, paths: dict):
+        self.paths = paths
+        self.cc = {loop: deque() for loop in paths}
         self.tx = {(link[0], loop): deque()
-                   for loop in topology.paths
-                   for link in topology.paths[loop]}
+                   for loop in paths
+                   for link in paths[loop]}
 
     def cc_push(self, packet: Packet) -> None:
         self.cc[packet.loop_id].append(packet)
@@ -70,7 +77,7 @@ class BufferSet:
     def cc_admit(self, loop, slot: int) -> int:
         """Pass-through congestion control: admit the whole CC backlog."""
         queue = self.cc[loop]
-        target = self.tx[(self.topology.paths[loop][0][0], loop)]
+        target = self.tx[(self.paths[loop][0][0], loop)]
         admitted = len(queue)
         while queue:
             target.append((slot, queue.popleft()))
@@ -116,7 +123,7 @@ def transmit(buffers: BufferSet, assignments: Sequence, slot: int,
     for link, loop, rate in assignments:
         m, n = link
         queue = buffers.tx[(m, loop)]
-        to_target = n == buffers.topology.paths[loop][-1][1]
+        to_target = n == buffers.paths[loop][-1][1]
         budget = int(rate)
         while budget > 0 and queue and queue[0][0] <= slot:
             _, packet = queue.popleft()
@@ -298,8 +305,9 @@ def run(scenario, tables: dict, theta: float = 1.0,
     cid_index = {cid: np.array([i for i, c in enumerate(class_ids) if c == cid])
                  for cid in unique_cids}
 
-    buffers = BufferSet(scenario.topology)
-    chains = [[buffers.tx[(link[0], i)] for link in scenario.topology.paths[i]]
+    paths = line_paths(scenario.hops)
+    buffers = BufferSet(paths)
+    chains = [[buffers.tx[(link[0], i)] for link in paths[i]]
               for i in range(L)]
 
     x = np.zeros(L)
@@ -403,7 +411,7 @@ def run(scenario, tables: dict, theta: float = 1.0,
                     cand_w.append(wgt)
                     cand_i.append(i)
             for i in _pick_max_weight(cand_w, cand_i, capacity, tie_rng):
-                assignments.append((scenario.topology.paths[i][pos], i, 1))
+                assignments.append((paths[i][pos], i, 1))
         if assignments:
             for loop, packet in transmit(buffers, assignments, slot):
                 delivered_total += 1

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -144,24 +145,24 @@ class TestRunExperiment:
     def test_csv_schema(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         run_experiment(cfg, log=lambda *a: None)
-        lines = open(os.path.join(cfg.out_dir, "rate.csv")).read().splitlines()
+        lines = Path(cfg.out_dir, "rate.csv").read_text().splitlines()
         assert lines[0] == "L,class,mean,ci95_halfwidth,replications"
         first = lines[1].split(",")
         assert first[0] == "2" and first[1] == "all"
-        summary = open(os.path.join(cfg.out_dir, "summary.csv")).read().splitlines()
+        summary = Path(cfg.out_dir, "summary.csv").read_text().splitlines()
         assert summary[0] == "metric,L,class,mean,ci95_halfwidth,replications"
 
     def test_rerun_same_seed_byte_identical(self, tmp_path):
         cfg_a = tiny_cfg(tmp_path)
         run_experiment(cfg_a, log=lambda *a: None)
-        blobs_a = {name: open(os.path.join(cfg_a.out_dir, name + ".csv"), "rb").read()
+        blobs_a = {name: Path(cfg_a.out_dir, name + ".csv").read_bytes()
                    for name in ("rate", "backlog", "delay", "cost", "summary")}
         cfg_b = RunConfig(L_values=(2,), horizon=1000, replications=2, seed=3,
                           out_dir=str(tmp_path / "out2"),
                           cache_dir=str(tmp_path / "cache"))
         run_experiment(cfg_b, log=lambda *a: None)
         for name, blob in blobs_a.items():
-            assert open(os.path.join(cfg_b.out_dir, name + ".csv"), "rb").read() == blob
+            assert Path(cfg_b.out_dir, name + ".csv").read_bytes() == blob
 
     # sha256 of summary.csv from the standard run below; a declared change of
     # numbers updates it and says so in CHANGES.md

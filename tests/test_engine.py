@@ -14,7 +14,7 @@ from ncsim.cli import RunConfig, load_or_build_tables
 from ncsim.control import PlantSpec, design_lqg
 from ncsim.engine import (NonFiniteError, Scenario,
                           make_two_hop_scenario, run, run_seed, sweep)
-from ncsim.network import ActionSet, TieStream, Topology, pick_max_weight, wsr_schedule
+from ncsim.network import ActionSet, TieStream, pick_max_weight, wsr_schedule
 from ncsim.sampler import ThresholdTable, plant_class_id
 from test_network import tier_map
 
@@ -25,15 +25,15 @@ def tables():
 
 
 def two_hop_action_set(sc):
-    """The WSR oracle's joint actions: per hop up to its capacity of unit-rate links."""
-    hops = [[sc.topology.paths[i][pos] for i in range(len(sc.plants))]
-            for pos in range(len(sc.capacities))]
+    """The WSR oracle's joint actions: per hop up to its capacity of unit-rate links,
+    link (pos, i) moving loop i's packets on from path position pos."""
+    links = [[(pos, i) for i in range(len(sc.plants))] for pos in range(len(sc.capacities))]
     choices = [[c for size in range(capacity + 1)
-                for c in itertools.combinations(range(len(links)), size)]
-               for capacity, links in zip(sc.capacities, hops)]
+                for c in itertools.combinations(range(len(hop)), size)]
+               for capacity, hop in zip(sc.capacities, links)]
 
     def rate_fn(link_state, action):
-        return {hops[h][i]: 1 for h, picked in enumerate(action) for i in picked}
+        return {links[h][i]: 1 for h, picked in enumerate(action) for i in picked}
     return ActionSet(actions=list(itertools.product(*choices)), rate_fn=rate_fn)
 
 
@@ -67,19 +67,31 @@ class TestScenarioGenerator:
         assert per_hop_capacity * sc.slots_per_step == 20
 
     def test_paths_are_two_hops_via_base_station(self):
-        sc = make_two_hop_scenario(2, seed=0)
-        for i in range(2):
-            path = sc.topology.paths[i]
-            assert len(path) == 2
-            assert path[0][1] == "bs" and path[1][0] == "bs"
+        for L in (2, 44):
+            assert make_two_hop_scenario(L, seed=0).hops == (2,) * L
 
 
 class TestScenarioValidation:
-    def test_paths_must_be_keyed_by_loop_index(self):
+    def test_one_hop_count_per_loop(self):
         sc = make_two_hop_scenario(2, seed=0)
-        topo = Topology(paths={i + 1: path for i, path in sc.topology.paths.items()})
-        with pytest.raises(ValueError, match="0..L-1"):
-            dataclasses.replace(sc, topology=topo)
+        for hops in ((2,), (2, 2, 2)):
+            with pytest.raises(ValueError, match=f"one path length per loop, 2 loops, "
+                                                 f"got {len(hops)}"):
+                dataclasses.replace(sc, hops=hops)
+
+    @pytest.mark.parametrize("hops, message", [((2, 0), "loop 1 must be at least 1, got 0"),
+                                               ((2.0, 2), r"loop 0 must be an integer, got 2\.0")])
+    def test_hop_count_must_be_a_positive_integer(self, hops, message):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match=f"hops of {message}"):
+            dataclasses.replace(sc, hops=hops)
+
+    @pytest.mark.parametrize("value", [2, None])
+    @pytest.mark.parametrize("name", ["capacities", "hops"])
+    def test_counts_must_be_a_sequence(self, name, value):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match=f"{name} must be a sequence of counts, got {value}"):
+            dataclasses.replace(sc, **{name: value})
 
     @pytest.mark.parametrize("capacities", [
         (2, 2, 2),  # no path reaches position 2
@@ -123,8 +135,7 @@ class TestScenarioValidation:
 
     def test_class_labels_follow_the_plants(self):
         plants = [PlantSpec(A=a, B=1.0, Z=1.0, Qx=1.0, Qu=0.0) for a in (0.5, 1.1, 0.9)]
-        topo = Topology(paths={i: ((f"s{i}", f"d{i}"),) for i in range(3)})
-        sc = Scenario(plants=plants, topology=topo, capacities=(3,),
+        sc = Scenario(plants=plants, hops=(1, 1, 1), capacities=(3,),
                       slots_per_step=1, horizon=200, seed=1)
         assert sc.class_labels == ["stable", "unstable", "stable"]
         tables = {}
@@ -182,8 +193,7 @@ class TestRun:
         spec = PlantSpec(A=0.75, B=1.0, Z=0.0, Qx=1.0, Qu=0.0)
         sol = design_lqg(spec)
         cid = plant_class_id(spec, sol)
-        topo = Topology(paths={0: (("s", "bs"), ("bs", "d"))})
-        sc = Scenario(plants=[spec], topology=topo,
+        sc = Scenario(plants=[spec], hops=(2,),
                       capacities=(2, 2), slots_per_step=10,
                       horizon=500, seed=1)
         table = ThresholdTable(lambdas=np.array([0.0, 1.0]),
@@ -282,8 +292,7 @@ class TestRun:
         horizon = 7000
         plants = ([PlantSpec(A=0.75, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)] * 2
                   + [PlantSpec(A=1.25, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)])
-        topo = Topology(paths={i: ((f"s{i}", f"d{i}"),) for i in range(3)})
-        sc = Scenario(plants=plants, topology=topo, capacities=(1,), slots_per_step=1,
+        sc = Scenario(plants=plants, hops=(1, 1, 1), capacities=(1,), slots_per_step=1,
                       horizon=horizon, seed=1)
         force = np.zeros((horizon, 3), dtype=bool)
         force[:3300, :2] = True
@@ -330,8 +339,8 @@ class TestSchedulerFastPath:
     def test_engine_choice_matches_exhaustive_wsr_objective(self, tables):
         """The engine's per-hop pick scores the argmax over the enumerated action set."""
         sc = make_two_hop_scenario(4, seed=0, horizon=1000)
-        uplinks = [sc.topology.paths[i][0] for i in range(4)]
-        downlinks = [sc.topology.paths[i][1] for i in range(4)]
+        uplinks = [(0, i) for i in range(4)]
+        downlinks = [(1, i) for i in range(4)]
         action_set = two_hop_action_set(sc)
         rng = np.random.default_rng(21)
         for _ in range(60):
@@ -359,6 +368,10 @@ class TestSweep:
         assert cell.n == 3
         assert cell.mean == pytest.approx(1.0, abs=0.01)
         assert result.cell(2, "all", "delay").mean == 0.0
+
+    def test_one_replication_has_no_interval(self, tables):
+        result = sweep([2], replications=1, master_seed=5, tables=tables, horizon=200)
+        assert all(cell.n == 1 and math.isnan(cell.ci95) for cell in result.metrics.values())
 
     def test_parallel_equals_serial(self, tables, monkeypatch):
         monkeypatch.setattr(engine, "usable_cpus", lambda: 2)  # a pool even on one CPU

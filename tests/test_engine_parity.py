@@ -7,7 +7,6 @@ import engine_oracle
 from ncsim.cli import RunConfig, load_or_build_tables
 from ncsim.control import PlantSpec
 from ncsim.engine import Scenario, make_two_hop_scenario, run
-from ncsim.network import Topology
 
 ARRAY_FIELDS = ("injected", "delivered", "delay_sum", "cost_sum", "backlog_sum",
                 "diverging", "error_trace", "delta_trace")
@@ -30,19 +29,17 @@ def assert_parity(scenario, tables, **options):
 
 
 def mixed_scenario(n: int, horizon: int, seed: int) -> Scenario:
-    """Every third loop on a one-hop path, the rest on three hops via r1 and r2.
+    """Every third loop on a one-hop path, the rest on three hops.
 
     Hop capacities 3/1/2, so a tie tier larger than the remaining capacity
     of 3 exercises the sampled-without-replacement tie-break.
     """
-    plants, paths = [], {}
+    plants = []
     for i in range(n):
         a = 0.75 if i % 2 == 0 else 1.25
         plants.append(PlantSpec(A=a, B=1.0, Z=1.0, Qx=1.0, Qu=0.0))
-        s, d = f"s{i}", f"d{i}"
-        paths[i] = ((s, "r1"), ("r1", "r2"), ("r2", d)) if i % 3 else ((s, d),)
-    topology = Topology(paths=paths)
-    return Scenario(plants=plants, topology=topology,
+    hops = tuple(3 if i % 3 else 1 for i in range(n))
+    return Scenario(plants=plants, hops=hops,
                     capacities=(3, 1, 2),
                     slots_per_step=10, horizon=horizon, seed=seed)
 

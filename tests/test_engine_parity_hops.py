@@ -12,7 +12,6 @@ import pytest
 
 from ncsim.control import PlantSpec
 from ncsim.engine import Scenario, make_two_hop_scenario
-from ncsim.network import Topology
 from test_engine_parity import assert_parity, tables  # noqa: F401 - fixture
 
 
@@ -30,8 +29,7 @@ def test_single_hop_one_slot_per_period(tables):
     """Twelve loops straight from source to target, three links per one-slot period."""
     plants = [PlantSpec(A=0.75 if i % 2 else 1.25, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)
               for i in range(12)]
-    topology = Topology(paths={i: ((f"s{i}", f"d{i}"),) for i in range(12)})
-    scenario = Scenario(plants=plants, topology=topology, capacities=(3,),
+    scenario = Scenario(plants=plants, hops=(1,) * 12, capacities=(3,),
                         slots_per_step=1, horizon=2000, seed=11)
     m = assert_parity(scenario, tables, theta=0.8, check_conservation=True)
     assert m.delivered.sum() > 0

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import engine_oracle
 from engine_oracle import differential_backlog
-from ncsim.network import (ActionSet, BufferSet, TieStream, Topology,
-                           assign_flow, pick_max_weight, stability_diagnostic,
-                           transmit, wsr_schedule)
+from ncsim.network import (ActionSet, BufferSet, TieStream, assign_flow,
+                           pick_max_weight, stability_diagnostic, transmit,
+                           wsr_schedule)
 
 
 def tier_map(weights) -> dict:
@@ -21,35 +21,23 @@ def tier_map(weights) -> dict:
     return tiers
 
 
-def line_topology():
-    """Two loops sharing a relay: s0/s1 -> relay -> d0/d1."""
-    return Topology(paths={0: (("s0", "r"), ("r", "d0")), 1: (("s1", "r"), ("r", "d1"))})
-
-
-class TestTopology:
-    def test_disconnected_path_rejected(self):
-        with pytest.raises(ValueError, match="connected"):
-            Topology(paths={0: (("a", "b"), ("c", "b"))})
-
-    def test_cycle_rejected(self):
-        with pytest.raises(ValueError, match="revisits"):
-            Topology(paths={0: (("a", "b"), ("b", "a"))})
+LINE = (2, 2)  # two loops, each source -> relay -> target
 
 
 class TestCcAdmit:
     def test_single_packet_pass_through(self):
-        buffers = BufferSet(line_topology())
+        buffers = BufferSet(LINE)
         buffers.cc_push(0)
         assert buffers.cc_admit(0) == 1
         assert buffers.cc[0] == 0
         assert buffers.backlog[0][0] == 1
 
     def test_empty_admits_nothing(self):
-        buffers = BufferSet(line_topology())
+        buffers = BufferSet(LINE)
         assert buffers.cc_admit(0) == 0
 
     def test_whole_backlog_admitted(self):
-        buffers = BufferSet(line_topology())
+        buffers = BufferSet(LINE)
         for _ in range(3):
             buffers.cc_push(0)
         assert buffers.cc_admit(0) == 3
@@ -58,7 +46,7 @@ class TestCcAdmit:
 
 def source_queue_after(y, r, mu):
     """Loop 0's source queue and relay queue: y resident, r admitted, one slot serving mu."""
-    buffers = BufferSet(line_topology())
+    buffers = BufferSet(LINE)
     for count in (y, r):
         for _ in range(count):
             buffers.cc_push(0)
@@ -291,7 +279,7 @@ class TestWsrSchedule:
 
 class TestTransmit:
     def setup_buffers(self):
-        buffers = BufferSet(line_topology())
+        buffers = BufferSet(LINE)
         for _ in range(2):
             buffers.cc_push(0)
         buffers.cc_admit(0)
@@ -306,11 +294,11 @@ class TestTransmit:
         assert transmit(buffers, [(1, 0)]) == [0]
 
     def test_empty_buffer_no_movement(self):
-        buffers = BufferSet(line_topology())
+        buffers = BufferSet(LINE)
         assert transmit(buffers, [(0, 0)] * 5) == []
 
     def test_relayed_data_waits_one_slot(self):
-        buffers = BufferSet(line_topology())
+        buffers = BufferSet(LINE)
         buffers.cc_push(0)
         buffers.cc_admit(0)
         # the relay pair runs first, before the packet reaches the relay
@@ -325,7 +313,7 @@ class TestTransmit:
         assert buffers.resident() == 0
 
     def test_source_admission_same_slot_allowed(self):
-        buffers = BufferSet(line_topology())
+        buffers = BufferSet(LINE)
         buffers.cc_push(0)
         buffers.cc_admit(0)
         delivered = transmit(buffers, [(0, 0)])
@@ -333,17 +321,8 @@ class TestTransmit:
         assert buffers.backlog[1][0] == 1
 
 
-def relay_topology(hops: list) -> Topology:
-    """Loop i runs s_i -> r1 -> r2 -> d_i cut to hops[i] links (1 to 3)."""
-    paths = {}
-    for i, h in enumerate(hops):
-        nodes = [f"s{i}", "r1", "r2"][:h] + [f"d{i}"]
-        paths[i] = tuple(zip(nodes, nodes[1:]))
-    return Topology(paths=paths)
-
-
 assignment_lists = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3)),
-                            max_size=4)  # (hop, loop, rate), hop and loop wrapped to the topology
+                            max_size=4)  # (hop, loop, rate), hop and loop wrapped to the paths
 slot_rounds = st.lists(st.tuples(
     st.lists(st.integers(0, 3), max_size=4),              # loops that push one packet each
     st.lists(st.integers(0, 3), max_size=3),              # loops whose CC buffer is admitted
@@ -359,13 +338,13 @@ class TestCountsTransport:
         after every slot, each loop's backlog column equal to its deque lengths
         along the path (zero past it), and diff rows equal to [B_p - B_p+1]+ of
         those.  A rate r is r (hop, loop) pairs in the slot's one call."""
-        topo = relay_topology(hops)
-        new, old = BufferSet(topo), engine_oracle.BufferSet(topo)
+        paths = engine_oracle.line_paths(hops)
+        new, old = BufferSet(hops), engine_oracle.BufferSet(paths)
 
         def assert_same_state():
             assert new.resident() == old.resident()
             lengths = []
-            for i, path in topo.paths.items():
+            for i, path in paths.items():
                 assert new.cc[i] == old.cc_backlog(i)
                 assert (path[-1][1], i) not in old.tx  # no buffer at the target
                 want = ([old.tx_backlog(m, i) for m, _ in path]
@@ -395,7 +374,7 @@ class TestCountsTransport:
                     loop %= len(hops)
                     p %= hops[loop]
                     pairs += [(p, loop)] * rate
-                    links.append((topo.paths[loop][p], loop, rate))
+                    links.append((paths[loop][p], loop, rate))
                 got = transmit(new, pairs)
                 want = engine_oracle.transmit(old, links, slot)
                 assert sorted(got) == sorted(i for i, _ in want)
@@ -416,7 +395,7 @@ class TestPicksMoveOnePacket:
         a pick lowers its hop's backlog by one and raises the next hop's (or
         delivers) by one.  After every cc_admit and transmit, each hop's
         tiers index its diff row."""
-        buffers = BufferSet(relay_topology(hops))
+        buffers = BufferSet(hops)
         ties = TieStream(np.random.PCG64(seed))
 
         def assert_tiers_index_diff():
