@@ -145,22 +145,17 @@ def _undefined_gain(spec: PlantSpec) -> ValueError:
                       f"Qu={spec.qu!r}: qu + b p b = 0")
 
 
-def compute_gain(P: np.ndarray, spec: PlantSpec) -> LqgSolution:
-    """Optimal gain k = b p a / (qu + b p b) for the 1 x 1 `P`, plus the derived cost weights.
+def design_lqg(spec: PlantSpec) -> LqgSolution:
+    """Riccati fixed point p, gain k = b p a / (qu + b p b), error weight qe, cost floor p z.
 
     Raises ValueError if qu + b p b is zero, where the gain is undefined.
     """
-    p, a, b = float(P[0, 0]), spec.a, spec.b
+    p, a, b = float(solve_riccati(spec)[0, 0]), spec.a, spec.b
     s = spec.qu + b * p * b
     if not s:
         raise _undefined_gain(spec)
     k = b * p * a / s
     return LqgSolution(p=p, k=k, qe=k * s * k, floor_cost=p * spec.z)
-
-
-def design_lqg(spec: PlantSpec) -> LqgSolution:
-    """Convenience: Riccati solve followed by gain computation."""
-    return compute_gain(solve_riccati(spec), spec)
 
 
 def estimator_deliver(a: float, b: float, x_sampled: float, inputs) -> float:

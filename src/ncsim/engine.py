@@ -85,9 +85,13 @@ class Scenario:
         _check_count(self.horizon, "horizon", 1)
         _check_count(self.slots_per_step, "slots_per_step", 1)
         _check_count(self.seed, "seed", 0)
-        for name, counts in (("hops", self.hops), ("capacities", self.capacities)):
-            if not isinstance(counts, Sequence):
-                raise ValueError(f"{name} must be a sequence of counts, got {counts!r}")
+        for name, kind in (("plants", "PlantSpec"), ("hops", "counts"), ("capacities", "counts")):
+            value = getattr(self, name)
+            if not isinstance(value, Sequence):
+                raise ValueError(f"{name} must be a sequence of {kind}, got {value!r}")
+        for i, plant in enumerate(self.plants):
+            if not isinstance(plant, PlantSpec):
+                raise ValueError(f"plant of loop {i} must be a PlantSpec, got {plant!r}")
         if len(self.hops) != len(self.plants):
             raise ValueError(f"hops must give one path length per loop, "
                              f"{len(self.plants)} loops, got {len(self.hops)}")

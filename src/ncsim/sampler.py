@@ -177,9 +177,9 @@ class _ErrorGridMdp:
         return vals @ self.w_wts
 
 
-def _solve_threshold(lam: float, mdp: _ErrorGridMdp, cfg: ViConfig,
-                     h0: np.ndarray | None = None):
-    """Relative value iteration; returns (threshold, h)."""
+def _solve_threshold(lam: float, mdp: _ErrorGridMdp, h0: np.ndarray | None = None):
+    """Relative value iteration under `mdp.cfg`; returns (threshold, h)."""
+    cfg = mdp.cfg
     h = np.zeros(mdp.n) if h0 is None else h0.copy()
     span = math.inf
     for _ in range(cfg.max_iter):
@@ -214,7 +214,7 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, cfg: ViConfig,
             )
         threshold = float(mdp.grid[mdp.mid + first])
     else:
-        threshold = float(mdp.cfg.e_max)
+        threshold = float(cfg.e_max)
     return threshold, h
 
 
@@ -224,7 +224,7 @@ def design_threshold(lam: float, spec: PlantSpec, sol: LqgSolution,
     if lam < 0:
         raise ValueError("price must be non-negative")
     mdp = _ErrorGridMdp(*_class_params(spec, sol), cfg)
-    return _solve_threshold(lam, mdp, cfg)[0]
+    return _solve_threshold(lam, mdp)[0]
 
 
 def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
@@ -244,7 +244,7 @@ def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
     thresholds = np.empty_like(lams)
     h = None
     for i, lam in enumerate(lams):
-        thresholds[i], h = _solve_threshold(float(lam), mdp, cfg, h0=h)
+        thresholds[i], h = _solve_threshold(float(lam), mdp, h0=h)
     thresholds = np.maximum.accumulate(thresholds)
     return ThresholdTable(lambdas=lams, thresholds=thresholds,
                           class_id=plant_class_id(spec, sol))

@@ -13,9 +13,9 @@ rolls a late sample forward step by step, the estimator's recursion.  A
 the links of a path of h hops n0 -> n1 -> ... -> nh, and the oracle reads
 each loop's source, target and path nodes off those paths; its buffers are
 keyed by (node, loop), so loops share no node's queue.  It defines its own
-`RateContractError`, and moves one packet per scheduled link and slot, the
-only rate a path position takes; its logic is unchanged.  Not a test module
-itself.
+`RateContractError` and `ReplayError`, and moves one packet per scheduled
+link and slot, the only rate a path position takes; its logic is unchanged.
+Not a test module itself.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ncsim.control import ReplayError, design_lqg
+from ncsim.control import design_lqg
 from ncsim.engine import _TIE_STREAM, _loop_rng_seed
 from ncsim.sampler import plant_class_id
 
@@ -39,6 +39,10 @@ def line_paths(hops) -> dict:
 
 class RateContractError(RuntimeError):
     """A flow was assigned more rate than its link supports."""
+
+
+class ReplayError(RuntimeError):
+    """Input history does not cover the steps needed to replay a delivery."""
 
 
 @dataclass(frozen=True)

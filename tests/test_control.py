@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ncsim import control
 from ncsim.control import (InputLog, PlantSpec, ReplayError,
-                           RiccatiDivergenceError, compute_gain, design_lqg,
+                           RiccatiDivergenceError, design_lqg,
                            estimator_deliver, solve_riccati)
 from ncsim.engine import WARMUP_FRAC, make_two_hop_scenario, run
 from ncsim.sampler import ThresholdTable, plant_class_id
@@ -66,18 +66,15 @@ class TestRiccati:
 
 class TestGain:
     def test_deadbeat_gain_equals_a(self):
-        spec = scalar_spec(0.75)
-        sol = compute_gain(np.array([[1.0]]), spec)
+        sol = design_lqg(scalar_spec(0.75))
         assert sol.K[0, 0] == pytest.approx(0.75, abs=1e-12)
 
     def test_golden_gain(self):
-        spec = scalar_spec(1.0, qx=1.0, qu=1.0)
-        sol = compute_gain(np.array([[GOLDEN]]), spec)
+        sol = design_lqg(scalar_spec(1.0, qx=1.0, qu=1.0))
         assert sol.K[0, 0] == pytest.approx(GOLDEN / (1 + GOLDEN), abs=1e-9)
 
     def test_zero_system_matrix_zero_gain(self):
-        spec = scalar_spec(0.0, qu=1.0)
-        sol = compute_gain(np.array([[5.0]]), spec)
+        sol = design_lqg(scalar_spec(0.0, qu=1.0))
         assert sol.K[0, 0] == 0.0
 
     def test_deadbeat_identities(self):
@@ -103,8 +100,6 @@ class TestGain:
         named = re.escape(f"gain is undefined for A=1.0, B={b}, Qx={qx}, Qu=0.0: qu + b p b = 0")
         with pytest.raises(ValueError, match=named):
             design_lqg(spec)
-        with pytest.raises(ValueError, match=named):
-            compute_gain(np.array([[0.0]]), spec)
 
 
 def forced_run(L, horizon, always):

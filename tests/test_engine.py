@@ -6,22 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ncsim import engine
-from ncsim.cli import RunConfig, load_or_build_tables
 from ncsim.control import PlantSpec, design_lqg
-from ncsim.engine import (NonFiniteError, Scenario,
+from ncsim.engine import (TWO_HOP_PLANTS, NonFiniteError, Scenario,
                           make_two_hop_scenario, run, run_seed, sweep)
 from ncsim.network import ActionSet, TieStream, pick_max_weight, wsr_schedule
 from ncsim.sampler import ThresholdTable, plant_class_id
 from test_network import tier_map
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return load_or_build_tables(RunConfig(L_values=(2,)), log=lambda *a: None)
 
 
 def two_hop_action_set(sc):
@@ -92,6 +84,19 @@ class TestScenarioValidation:
         sc = make_two_hop_scenario(2, seed=0)
         with pytest.raises(ValueError, match=f"{name} must be a sequence of counts, got {value}"):
             dataclasses.replace(sc, **{name: value})
+
+    @pytest.mark.parametrize("plants", [2, None])
+    def test_plants_must_be_a_sequence(self, plants):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match=f"plants must be a sequence of PlantSpec, got {plants}"):
+            dataclasses.replace(sc, plants=plants)
+
+    @pytest.mark.parametrize("plants, loop", [([1, 2], 0), ([TWO_HOP_PLANTS[0], None], 1)])
+    def test_each_plant_must_be_a_plant_spec(self, plants, loop):
+        sc = make_two_hop_scenario(2, seed=0)
+        with pytest.raises(ValueError, match=f"plant of loop {loop} must be a PlantSpec, "
+                                             f"got {plants[loop]}"):
+            dataclasses.replace(sc, plants=plants)
 
     @pytest.mark.parametrize("capacities", [
         (2, 2, 2),  # no path reaches position 2
@@ -310,29 +315,6 @@ class TestRun:
         sc = make_two_hop_scenario(2, seed=0, horizon=1000)
         with pytest.raises(KeyError, match="threshold table"):
             run(sc, {})
-
-
-class TestRunProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(L=st.sampled_from([2, 4, 6]), theta=st.floats(0.01, 5.0),
-           horizon=st.integers(20, 300), slots=st.integers(1, 12),
-           forced=st.none() | st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-    def test_small_random_scenarios(self, tables, L, theta, horizon, slots, forced, seed):
-        """Conservation, FIFO births and finite metrics, or an explicit overflow error."""
-        sc = dataclasses.replace(make_two_hop_scenario(L, seed=seed, horizon=horizon),
-                                 slots_per_step=slots)
-        force = None
-        if forced is not None:
-            force = np.random.default_rng(seed).random((horizon, L)) < forced
-        try:
-            m = run(sc, tables, theta=theta, force_delta=force, check_conservation=True)
-        except NonFiniteError:
-            return
-        for births in m.delivered_births:
-            assert births == sorted(births)
-        for values in (m.rate_per_loop, m.backlog_per_loop, m.cost_per_loop):
-            assert np.all(np.isfinite(values))
-        assert np.array_equal(np.isnan(m.delay_per_loop), m.delivered == 0)
 
 
 class TestSchedulerFastPath:

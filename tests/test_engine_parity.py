@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 import engine_oracle
-from ncsim.cli import RunConfig, load_or_build_tables
 from ncsim.control import PlantSpec
 from ncsim.engine import Scenario, make_two_hop_scenario, run
 
 ARRAY_FIELDS = ("injected", "delivered", "delay_sum", "cost_sum", "backlog_sum",
                 "diverging", "error_trace", "delta_trace")
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return load_or_build_tables(RunConfig(L_values=(2,)), log=lambda *a: None)
 
 
 def assert_parity(scenario, tables, **options):

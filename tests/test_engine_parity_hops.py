@@ -12,7 +12,7 @@ import pytest
 
 from ncsim.control import PlantSpec
 from ncsim.engine import Scenario, make_two_hop_scenario
-from test_engine_parity import assert_parity, tables  # noqa: F401 - fixture
+from test_engine_parity import assert_parity
 
 
 @pytest.mark.parametrize("theta", [0.8, 0.3])

@@ -4,7 +4,10 @@ Off the two-hop scenario: one to eight loops of either standard plant
 class, paths of one to four hops, one to four links per path position, one
 to twelve slots per period, short horizons, theta from starving to light
 load, and optionally a forced sampling pattern with the traces recorded.
-Every case also runs the packet conservation check.
+Every case also runs the packet conservation check and the invariants that
+need no oracle: births delivered in FIFO order, finite rate, backlog and
+cost, a rate of at most one per period, and a delay that is NaN exactly
+where nothing was delivered and non-negative elsewhere.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsim.engine import TWO_HOP_PLANTS, Scenario
-from test_engine_parity import assert_parity, tables  # noqa: F401 - fixture
+from test_engine_parity import assert_parity
 
 
 @st.composite
@@ -30,7 +33,7 @@ def scenarios(draw) -> Scenario:
 
 
 @settings(max_examples=150, deadline=None)
-@given(scenario=scenarios(), theta=st.sampled_from([0.05, 0.3, 0.8, 2.0]),
+@given(scenario=scenarios(), theta=st.sampled_from([0.01, 0.05, 0.3, 0.8, 2.0, 5.0]),
        forced=st.none() | st.floats(0.0, 1.0))
 def test_random_scenarios(tables, scenario, theta, forced):
     options = {}
@@ -38,4 +41,12 @@ def test_random_scenarios(tables, scenario, theta, forced):
         rng = np.random.default_rng(scenario.seed)
         options = dict(record_errors=True,
                        force_delta=rng.random((scenario.horizon, len(scenario.plants))) < forced)
-    assert_parity(scenario, tables, theta=theta, check_conservation=True, **options)
+    m = assert_parity(scenario, tables, theta=theta, check_conservation=True, **options)
+    for births in m.delivered_births:
+        assert births == sorted(births)
+    for values in (m.rate_per_loop, m.backlog_per_loop, m.cost_per_loop):
+        assert np.all(np.isfinite(values))
+    assert np.all(m.rate_per_loop <= 1)
+    delay, undelivered = m.delay_per_loop, m.delivered == 0
+    assert np.array_equal(np.isnan(delay), undelivered)
+    assert np.all(delay[~undelivered] >= 0)
