@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsim import engine
 from ncsim.control import PlantSpec, design_lqg
@@ -315,6 +317,29 @@ class TestRun:
         sc = make_two_hop_scenario(2, seed=0, horizon=1000)
         with pytest.raises(KeyError, match="threshold table"):
             run(sc, {})
+
+
+class TestRunProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.sampled_from([2, 4, 6]), theta=st.floats(0.01, 5.0),
+           horizon=st.integers(20, 300), slots=st.integers(1, 12),
+           forced=st.none() | st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_small_random_scenarios(self, tables, L, theta, horizon, slots, forced, seed):
+        """Conservation, FIFO births and finite metrics, or an explicit overflow error."""
+        sc = dataclasses.replace(make_two_hop_scenario(L, seed=seed, horizon=horizon),
+                                 slots_per_step=slots)
+        force = None
+        if forced is not None:
+            force = np.random.default_rng(seed).random((horizon, L)) < forced
+        try:
+            m = run(sc, tables, theta=theta, force_delta=force, check_conservation=True)
+        except NonFiniteError:
+            return
+        for births in m.delivered_births:
+            assert births == sorted(births)
+        for values in (m.rate_per_loop, m.backlog_per_loop, m.cost_per_loop):
+            assert np.all(np.isfinite(values))
+        assert np.array_equal(np.isnan(m.delay_per_loop), m.delivered == 0)
 
 
 class TestSchedulerFastPath:
