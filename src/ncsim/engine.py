@@ -33,7 +33,6 @@ import numbers
 import os
 from collections import deque
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import add
@@ -428,6 +427,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool(workers: int):
+    """A process pool of `workers`; imported here, so a run that starts none never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _check_sweep_args(L_values, replications, master_seed, horizon, theta, workers) -> None:
     """Raise ValueError naming the first `sweep` argument that no run could take."""
     if not L_values:
@@ -462,7 +467,7 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
     # CPUs only contend for them
     workers = min(workers, len(tasks), usable_cpus())
     result = SweepResult(L_values=L_values)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with _pool(workers) if workers > 1 else nullcontext() as pool:
         # read in task order as runs finish, so each L is reported once its own runs are in
         raw = pool.map(_one_sweep_task, tasks) if pool else map(_one_sweep_task, tasks)
         for L in L_values:

@@ -16,6 +16,11 @@ the error that materializes one step later.  (Charging the pre-decision
 error (1-delta)*Qe*e^2 instead yields thresholds 15-25% away from the
 published curves; this timing reproduces them to within ~2%.)
 
+A table solves its prices in ascending order.  Each price starts from the
+previous price's relative value function h and from the expected values
+E[h(e')] under both actions that the previous price's final greedy step
+computed, so its first iteration does not compute them again.
+
 Online, the price is the scaled backlog of the loop's source MAC buffer,
 lambda = theta * B, so a congested source raises the threshold and throttles
 its own loop.  Tables map a price grid to thresholds and interpolate; the
@@ -155,36 +160,58 @@ class _ErrorGridMdp:
         self.w_pts = nodes * math.sqrt(2.0) * sigma
         self.w_wts = weights / math.sqrt(math.pi)
 
-        # Transitions leaving the grid are clamped to the boundary state.
-        stay_pos = np.clip(a * self.grid[:, None] + self.w_pts[None, :],
-                           -cfg.e_max, cfg.e_max)
-        self.stay_lo, self.stay_fr = self._interp_coeffs(stay_pos)
-        send_pos = np.clip(self.w_pts, -cfg.e_max, cfg.e_max)
-        self.send_lo, self.send_fr = self._interp_coeffs(send_pos)
+        self.stay = self._interp_coeffs(a * self.grid[:, None] + self.w_pts[None, :])
+        self.send = self._interp_coeffs(self.w_pts.copy())
 
         # Qe * E[e'^2] given each action; the Qe*Z floor is paid either way.
         self.stay_cost = qe * ((a * self.grid) ** 2 + z)
         self.send_cost = qe * z
 
     def _interp_coeffs(self, pos):
-        scaled = (pos + self.cfg.e_max) / self.cfg.e_step
-        lo = np.clip(np.floor(scaled).astype(np.int64), 0, self.n - 2)
-        fr = np.clip(scaled - lo, 0.0, 1.0)
-        return lo, fr
+        """(lo, 1 - fr, fr) placing `pos`, clamped to the grid, between grid points lo and
+        lo + 1, and two work buffers.  `pos` becomes `fr`: one temporary at a time."""
+        e_max = self.cfg.e_max
+        np.clip(pos, -e_max, e_max, out=pos)
+        pos += e_max
+        pos /= self.cfg.e_step
+        lo = np.floor(pos).astype(np.int64)
+        np.clip(lo, 0, self.n - 2, out=lo)
+        pos -= lo
+        fr = np.clip(pos, 0.0, 1.0, out=pos)
+        return lo, 1.0 - fr, fr, np.empty(pos.shape), np.empty(pos.shape)
 
-    def expected_value(self, h, lo, fr):
-        vals = h[lo] * (1.0 - fr) + h[lo + 1] * fr
-        return vals @ self.w_wts
+    def expected_value(self, h, coeffs):
+        """E[h(e')] under one action, (h[lo] * (1 - fr) + h[lo + 1] * fr) @ w_wts to the
+        double, in its work buffers: h[lo + 1] is h[1:][lo] as lo <= n - 2, and "clip"
+        mode lets `take` write into `out` unbuffered.  Only the result is a new array."""
+        lo, keep, fr, low, high = coeffs
+        np.take(h, lo, out=low, mode="clip")
+        low *= keep
+        np.take(h[1:], lo, out=high, mode="clip")
+        high *= fr
+        low += high
+        return low @ self.w_wts
+
+    def expected_values(self, h) -> tuple:
+        """(E[h(e')] per state if not sending, E[h(e')] if sending)."""
+        return self.expected_value(h, self.stay), float(self.expected_value(h, self.send))
 
 
-def _solve_threshold(lam: float, mdp: _ErrorGridMdp, h0: np.ndarray | None = None):
-    """Relative value iteration under `mdp.cfg`; returns (threshold, h)."""
+def _solve_threshold(lam: float, mdp: _ErrorGridMdp, start: tuple | None = None):
+    """Relative value iteration under `mdp.cfg`; returns (threshold, end).
+
+    A start or end is (h, mdp.expected_values(h)), in arrays no later step
+    writes; no start means h = 0.  The end holds the final greedy step's
+    values, so a solve started from it, as `build_table`'s next price is,
+    does not compute them again.
+    """
     cfg = mdp.cfg
-    h = np.zeros(mdp.n) if h0 is None else h0.copy()
+    if start is None:
+        h = np.zeros(mdp.n)
+        start = h, mdp.expected_values(h)
+    h, (eh_stay, eh_send) = start
     span = math.inf
     for _ in range(cfg.max_iter):
-        eh_stay = mdp.expected_value(h, mdp.stay_lo, mdp.stay_fr)
-        eh_send = float(mdp.expected_value(h, mdp.send_lo, mdp.send_fr))
         stay = mdp.stay_cost + eh_stay
         send = mdp.send_cost + lam + eh_send
         th = np.minimum(stay, send)
@@ -192,6 +219,7 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, h0: np.ndarray | None = Non
         diff = th - h
         span = float(diff.max() - diff.min())
         h = th - th[mdp.mid]
+        eh_stay, eh_send = mdp.expected_values(h)
         if span <= cfg.span_tol:
             break
     else:
@@ -201,8 +229,6 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, h0: np.ndarray | None = Non
 
     # Final greedy policy; ties broken toward transmitting so that a free
     # channel (lambda = 0) yields M = 0.
-    eh_stay = mdp.expected_value(h, mdp.stay_lo, mdp.stay_fr)
-    eh_send = float(mdp.expected_value(h, mdp.send_lo, mdp.send_fr))
     send_opt = (mdp.send_cost + lam + eh_send) <= (mdp.stay_cost + eh_stay)
     half = send_opt[mdp.mid:]
     flips = np.flatnonzero(np.diff(half.astype(np.int8)))
@@ -215,7 +241,7 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, h0: np.ndarray | None = Non
         threshold = float(mdp.grid[mdp.mid + first])
     else:
         threshold = float(cfg.e_max)
-    return threshold, h
+    return threshold, (h, (eh_stay, eh_send))
 
 
 def design_threshold(lam: float, spec: PlantSpec, sol: LqgSolution,
@@ -231,8 +257,9 @@ def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
                 cfg: ViConfig = ViConfig()) -> ThresholdTable:
     """Threshold table over an ascending price grid starting at 0.
 
-    Successive solves warm-start from the previous relative value function,
-    and numerical jitter is removed by isotonic clipping (running maximum).
+    Each solve starts from the previous price's relative value function
+    and expected values, and numerical jitter is removed by isotonic
+    clipping (running maximum).
     """
     lams = np.asarray(list(lambda_grid), dtype=float)
     if lams.size == 0 or lams[0] != 0.0:
@@ -242,9 +269,9 @@ def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
 
     mdp = _ErrorGridMdp(*_class_params(spec, sol), cfg)
     thresholds = np.empty_like(lams)
-    h = None
+    start = None
     for i, lam in enumerate(lams):
-        thresholds[i], h = _solve_threshold(float(lam), mdp, h0=h)
+        thresholds[i], start = _solve_threshold(float(lam), mdp, start)
     thresholds = np.maximum.accumulate(thresholds)
     return ThresholdTable(lambdas=lams, thresholds=thresholds,
                           class_id=plant_class_id(spec, sol))

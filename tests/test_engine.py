@@ -3,6 +3,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -412,7 +415,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(engine, "_pool", InProcessPool)
         return sizes
 
     def test_pool_has_no_more_workers_than_tasks(self, tables, pool_sizes):
@@ -425,6 +428,17 @@ class TestSweep:
         # clamped, not rejected: a config asking for more still runs
         sweep([2, 4], replications=3, master_seed=8, tables=tables, horizon=200, workers=8)
         assert pool_sizes == [4]
+
+    def test_importing_loads_no_process_pool(self):
+        # a workers=1 run never pays for concurrent.futures and multiprocessing
+        code = ("import sys, ncsim.cli, ncsim.engine; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        src = os.path.dirname(os.path.dirname(engine.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert done.stdout.strip() == "[]"
 
     def test_usable_cpus_is_the_affinity_set_else_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
@@ -471,7 +485,7 @@ class TestSweep:
         def no_run(*a, **kw):
             raise AssertionError("a run or pool started for a malformed argument")
         monkeypatch.setattr(engine, "_one_sweep_task", no_run)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_run)
+        monkeypatch.setattr(engine, "_pool", no_run)
         monkeypatch.setattr(engine, "usable_cpus", lambda: 2)  # workers=2 would start a pool
         args = dict(replications=1, master_seed=8, tables={}, horizon=200) | args
         with pytest.raises(ValueError, match=message):
@@ -481,7 +495,7 @@ class TestSweep:
         def no_run(*a, **kw):
             raise AssertionError("a run or pool started without a table")
         monkeypatch.setattr(engine, "_one_sweep_task", no_run)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_run)
+        monkeypatch.setattr(engine, "_pool", no_run)
         monkeypatch.setattr(engine, "usable_cpus", lambda: 2)  # workers=2 would start a pool
         with pytest.raises(KeyError, match="a0.75_qe0.5625_z1"):
             sweep([2, 4], 1, 1, {}, horizon=100, workers=2)

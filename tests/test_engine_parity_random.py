@@ -7,14 +7,19 @@ load, and optionally a forced sampling pattern with the traces recorded.
 Every case also runs the packet conservation check and the invariants that
 need no oracle: births delivered in FIFO order, finite rate, backlog and
 cost, a rate of at most one per period, and a delay that is NaN exactly
-where nothing was delivered and non-negative elsewhere.
+where nothing was delivered and non-negative elsewhere.  On the same
+scenarios, every slot moves at most its hops' capacities.
 """
+
+from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsim.engine import TWO_HOP_PLANTS, Scenario
+from ncsim import engine
+from ncsim.engine import TWO_HOP_PLANTS, Scenario, run
 from test_engine_parity import assert_parity
 
 
@@ -50,3 +55,23 @@ def test_random_scenarios(tables, scenario, theta, forced):
     delay, undelivered = m.delay_per_loop, m.delivered == 0
     assert np.array_equal(np.isnan(delay), undelivered)
     assert np.all(delay[~undelivered] >= 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=scenarios(), theta=st.sampled_from([0.01, 0.05, 0.3, 0.8, 2.0, 5.0]))
+def test_each_slot_moves_within_capacity(tables, scenario, theta):
+    slots = []  # per transmit call, its (position, loop) pairs and the loops it delivered
+    transmit = engine.transmit
+
+    def recording(buffers, assignments):
+        delivered = transmit(buffers, assignments)
+        slots.append((list(assignments), delivered))
+        return delivered
+
+    with patch.object(engine, "transmit", recording):
+        run(scenario, tables, theta=theta)
+    for assignments, delivered in slots:
+        assert len(set(assignments)) == len(assignments)  # no link picked twice
+        per_position = Counter(pos for pos, _ in assignments)
+        assert all(n <= scenario.capacities[pos] for pos, n in per_position.items())
+        assert len(delivered) <= len(assignments)

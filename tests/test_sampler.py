@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from ncsim.control import PlantSpec, design_lqg
-from ncsim.engine import make_two_hop_scenario, run
-from ncsim.sampler import (ThresholdTable, ValueIterationError, ViConfig,
-                           build_table, default_lambda_grid, design_threshold,
-                           plant_class_id)
+from ncsim.engine import TWO_HOP_PLANTS, make_two_hop_scenario, run
+from ncsim.sampler import (ThresholdTable, ValueIterationError, ViConfig, _class_params,
+                           _ErrorGridMdp, _solve_threshold, build_table, default_lambda_grid,
+                           design_threshold, plant_class_id)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,46 @@ class TestBuildTable:
         assert np.all(t_s.thresholds[1:] >= t_u.thresholds[1:])
         assert np.all(np.diff(t_s.thresholds) >= 0)
         assert np.all(np.diff(t_u.thresholds) >= 0)
+
+
+def grid_mdp(spec):
+    return _ErrorGridMdp(*_class_params(spec, design_lqg(spec)), ViConfig())
+
+
+class TestExpectedValue:
+    """The value iteration's step against its formula, on the standard classes and one more."""
+
+    @staticmethod
+    def formula(h, mdp, coeffs):
+        lo, fr = coeffs[0], coeffs[2]
+        return (h[lo] * (1.0 - fr) + h[lo + 1] * fr) @ mdp.w_wts
+
+    @pytest.mark.parametrize(
+        "spec", [*TWO_HOP_PLANTS, PlantSpec(A=0.9, B=1.0, Z=2.0, Qx=1.0, Qu=0.0)],
+        ids=["stable", "unstable", "a0.9_z2"])
+    def test_same_doubles_as_the_formula(self, spec):
+        mdp = grid_mdp(spec)
+        rng = np.random.default_rng(17)
+        for scale in (1.0, 1e-3, 1e4):
+            h = scale * rng.standard_normal(mdp.n)
+            h = h + h[::-1]  # the value functions are even in e
+            eh_stay, eh_send = mdp.expected_values(h)
+            assert np.array_equal(eh_stay, self.formula(h, mdp, mdp.stay))
+            assert eh_send == float(self.formula(h, mdp, mdp.send))
+
+    def test_values_handed_to_the_next_price_are_a_fresh_computation(self, unstable):
+        mdp = grid_mdp(unstable[0])
+        _, end = _solve_threshold(1.0, mdp)
+        h, (eh_stay, eh_send) = end
+        kept = eh_stay.copy()
+        fresh_stay, fresh_send = mdp.expected_values(h)
+        assert np.array_equal(kept, fresh_stay) and eh_send == fresh_send
+        # the next solve writes the work buffers, never the arrays handed to it
+        _, (h2, (eh2_stay, eh2_send)) = _solve_threshold(2.0, mdp, end)
+        assert np.array_equal(eh_stay, kept)
+        kept = eh2_stay.copy()
+        fresh_stay, fresh_send = mdp.expected_values(h2)
+        assert np.array_equal(kept, fresh_stay) and eh2_send == fresh_send
 
 
 class TestLookup:
