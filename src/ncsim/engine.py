@@ -143,6 +143,7 @@ class RunMetrics:
     steps_cost: int
     slots_backlog: int
     diverging: np.ndarray
+    inflight_sum: int  # samples in flight before injection, summed over all boundaries
     noise: np.ndarray | None = None
     error_trace: np.ndarray | None = None
     delta_trace: np.ndarray | None = None
@@ -256,6 +257,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     delivered_births = [[] for _ in range(L)] if check_conservation else None
     injected_total = 0
     delivered_total = 0
+    inflight_sum = 0
 
     warmup_slot = warmup * spst
     total_slots = horizon * spst
@@ -319,6 +321,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             delta_trace[m, sampled] = 1
         first_slot = m * spst
         remaining = total_slots - max(first_slot, warmup_slot)
+        inflight_sum += injected_total - delivered_total
         for i in sampled:
             inflight[i].append((m, x[i]))
             cc_push(i)
@@ -372,7 +375,8 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         cost_sum=np.array(cost_sum), backlog_sum=np.array(backlog_acc, dtype=float),
         steps_rate=horizon - warmup, steps_cost=max(horizon - 1 - warmup, 1),
         slots_backlog=total_slots - warmup_slot,
-        diverging=diverging, noise=noise if record_errors else None,
+        diverging=diverging, inflight_sum=inflight_sum,
+        noise=noise if record_errors else None,
         error_trace=error_trace, delta_trace=delta_trace,
         delivered_births=delivered_births,
     )

@@ -16,6 +16,10 @@ the error that materializes one step later.  (Charging the pre-decision
 error (1-delta)*Qe*e^2 instead yields thresholds 15-25% away from the
 published curves; this timing reproduces them to within ~2%.)
 
+The noise is symmetric and the cost even in e, so the relative value
+function h is even: the iteration computes its values on the half e >= 0
+only and mirrors them into the full grid that E[h(e')] interpolates on.
+
 A table solves its prices in ascending order.  Each price starts from the
 previous price's relative value function h and from the expected values
 E[h(e')] under both actions that the previous price's final greedy step
@@ -24,8 +28,7 @@ computed, so its first iteration does not compute them again.
 Online, the price is the scaled backlog of the loop's source MAC buffer,
 lambda = theta * B, so a congested source raises the threshold and throttles
 its own loop.  Tables map a price grid to thresholds and interpolate; the
-decision |e| > M(theta * B) itself is made one loop at a time in
-`engine.run`'s per-loop pass.
+decision |e| > M(theta * B) is made per loop in `engine.run`.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ class ThresholdTable:
 
 
 class _ErrorGridMdp:
-    """Precomputed grid geometry and noise quadrature for one plant class."""
+    """Grid geometry and noise quadrature for one plant class, the stay action on e >= 0 only."""
 
     def __init__(self, a: float, qe: float, z: float, cfg: ViConfig):
         self.cfg = cfg
@@ -160,11 +163,12 @@ class _ErrorGridMdp:
         self.w_pts = nodes * math.sqrt(2.0) * sigma
         self.w_wts = weights / math.sqrt(math.pi)
 
-        self.stay = self._interp_coeffs(a * self.grid[:, None] + self.w_pts[None, :])
+        upper = self.grid[half:]  # e >= 0: stay values are needed only there
+        self.stay = self._interp_coeffs(a * upper[:, None] + self.w_pts[None, :])
         self.send = self._interp_coeffs(self.w_pts.copy())
 
         # Qe * E[e'^2] given each action; the Qe*Z floor is paid either way.
-        self.stay_cost = qe * ((a * self.grid) ** 2 + z)
+        self.stay_cost = qe * ((a * upper) ** 2 + z)
         self.send_cost = qe * z
 
     def _interp_coeffs(self, pos):
@@ -193,17 +197,17 @@ class _ErrorGridMdp:
         return low @ self.w_wts
 
     def expected_values(self, h) -> tuple:
-        """(E[h(e')] per state if not sending, E[h(e')] if sending)."""
+        """(E[h(e')] per state e >= 0 if not sending, E[h(e')] if sending), for an even `h`."""
         return self.expected_value(h, self.stay), float(self.expected_value(h, self.send))
 
 
 def _solve_threshold(lam: float, mdp: _ErrorGridMdp, start: tuple | None = None):
-    """Relative value iteration under `mdp.cfg`; returns (threshold, end).
+    """Relative value iteration under `mdp.cfg` on the half e >= 0; returns (threshold, end).
 
-    A start or end is (h, mdp.expected_values(h)), in arrays no later step
-    writes; no start means h = 0.  The end holds the final greedy step's
-    values, so a solve started from it, as `build_table`'s next price is,
-    does not compute them again.
+    A start or end is (h, mdp.expected_values(h)) with h over the full,
+    mirrored grid, in arrays no later step writes; no start means h = 0.
+    The end holds the final greedy step's values, so a solve started from
+    it, as `build_table`'s next price is, does not compute them again.
     """
     cfg = mdp.cfg
     if start is None:
@@ -212,32 +216,26 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, start: tuple | None = None)
     h, (eh_stay, eh_send) = start
     span = math.inf
     for _ in range(cfg.max_iter):
-        stay = mdp.stay_cost + eh_stay
-        send = mdp.send_cost + lam + eh_send
-        th = np.minimum(stay, send)
-        th = 0.5 * (th + th[::-1])  # dynamics and costs are even in e
-        diff = th - h
+        th = np.minimum(mdp.stay_cost + eh_stay, mdp.send_cost + lam + eh_send)
+        diff = th - h[mdp.mid:]
         span = float(diff.max() - diff.min())
-        h = th - th[mdp.mid]
+        th -= th[0]
+        h = np.concatenate((th[:0:-1], th))  # h is even in e: mirror the half e >= 0
         eh_stay, eh_send = mdp.expected_values(h)
         if span <= cfg.span_tol:
             break
     else:
-        raise ValueIterationError(
-            f"no convergence at lambda={lam:g}: span {span:.3e} after {cfg.max_iter} iterations"
-        )
+        raise ValueIterationError(f"no convergence at lambda={lam:g}: span {span:.3e} "
+                                  f"after {cfg.max_iter} iterations")
 
     # Final greedy policy; ties broken toward transmitting so that a free
     # channel (lambda = 0) yields M = 0.
-    send_opt = (mdp.send_cost + lam + eh_send) <= (mdp.stay_cost + eh_stay)
-    half = send_opt[mdp.mid:]
-    flips = np.flatnonzero(np.diff(half.astype(np.int8)))
+    half = (mdp.send_cost + lam + eh_send) <= (mdp.stay_cost + eh_stay)
     if half.any():
         first = int(np.argmax(half))
-        if flips.size > 1 or not half[first:].all():
-            raise ThresholdStructureError(
-                f"policy at lambda={lam:g} is not threshold-form; refine the grid"
-            )
+        if not half[first:].all():
+            raise ThresholdStructureError(f"policy at lambda={lam:g} is not threshold-form; "
+                                          "refine the grid")
         threshold = float(mdp.grid[mdp.mid + first])
     else:
         threshold = float(cfg.e_max)
@@ -247,8 +245,8 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, start: tuple | None = None)
 def design_threshold(lam: float, spec: PlantSpec, sol: LqgSolution,
                      cfg: ViConfig = ViConfig()) -> float:
     """Optimal sampling threshold M(lambda) for one plant class."""
-    if lam < 0:
-        raise ValueError("price must be non-negative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"price must be non-negative and finite, got {lam!r}")
     mdp = _ErrorGridMdp(*_class_params(spec, sol), cfg)
     return _solve_threshold(lam, mdp)[0]
 
@@ -262,6 +260,8 @@ def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
     clipping (running maximum).
     """
     lams = np.asarray(list(lambda_grid), dtype=float)
+    if not np.isfinite(lams).all():
+        raise ValueError(f"prices must be finite, got {lams[~np.isfinite(lams)].tolist()}")
     if lams.size == 0 or lams[0] != 0.0:
         raise ValueError("lambda grid must start at 0")
     if np.any(np.diff(lams) <= 0):

@@ -8,18 +8,20 @@ Every case also runs the packet conservation check and the invariants that
 need no oracle: births delivered in FIFO order, finite rate, backlog and
 cost, a rate of at most one per period, and a delay that is NaN exactly
 where nothing was delivered and non-negative elsewhere.  On the same
-scenarios, every slot moves at most its hops' capacities.
+scenarios, every slot moves at most its hops' capacities, and the
+in-flight count summed over the boundaries obeys Little's identity.
 """
 
 from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsim import engine
-from ncsim.engine import TWO_HOP_PLANTS, Scenario, run
+from ncsim.engine import TWO_HOP_PLANTS, Scenario, make_two_hop_scenario, run
 from test_engine_parity import assert_parity
 
 
@@ -75,3 +77,33 @@ def test_each_slot_moves_within_capacity(tables, scenario, theta):
         per_position = Counter(pos for pos, _ in assignments)
         assert all(n <= scenario.capacities[pos] for pos, n in per_position.items())
         assert len(delivered) <= len(assignments)
+
+
+def assert_little_identity(scenario, tables, theta):
+    """Samples in flight before injection, summed over the boundaries, equal the
+    delivered samples' delays plus horizon - 1 - birth for each one still in flight.
+
+    With no warm-up every birth and delivery is counted; the births still in
+    flight are each loop's births after its delivered ones, queues being FIFO.
+    """
+    with patch.object(engine, "WARMUP_FRAC", 0):
+        m = run(scenario, tables, theta=theta, record_errors=True, check_conservation=True)
+    horizon = scenario.horizon
+    undelivered = sum(horizon - 1 - int(birth)
+                      for i, births in enumerate(m.delivered_births)
+                      for birth in np.flatnonzero(m.delta_trace[:, i])[len(births):])
+    assert isinstance(m.inflight_sum, int)
+    assert m.inflight_sum == int(m.delay_sum.sum()) + undelivered
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios(), theta=st.sampled_from([0.01, 0.05, 0.3, 0.8, 2.0, 5.0]))
+def test_little_identity(tables, scenario, theta):
+    assert_little_identity(scenario, tables, theta)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.8])
+def test_little_identity_two_hop_l44(tables, theta):
+    m = assert_little_identity(make_two_hop_scenario(44, seed=5, horizon=1500), tables, theta)
+    assert m.inflight_sum > 0

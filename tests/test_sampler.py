@@ -1,11 +1,14 @@
 """Threshold design: value iteration, tables, the online decision as the engine makes it."""
 
 import dataclasses
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ncsim import sampler
 from ncsim.control import PlantSpec, design_lqg
 from ncsim.engine import TWO_HOP_PLANTS, make_two_hop_scenario, run
 from ncsim.sampler import (ThresholdTable, ValueIterationError, ViConfig, _class_params,
@@ -25,6 +28,14 @@ def unstable():
     return spec, design_lqg(spec)
 
 
+class TenIterations(ViConfig):
+    max_iter = 10
+
+
+def no_solve(*args):
+    raise AssertionError("a price was solved")
+
+
 class TestDesignThreshold:
     def test_free_transmission_means_zero_threshold(self, stable, unstable):
         for spec, sol in (stable, unstable):
@@ -41,6 +52,12 @@ class TestDesignThreshold:
     def test_rejects_negative_price(self, stable):
         with pytest.raises(ValueError):
             design_threshold(-1.0, *stable)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_price_up_front(self, stable, lam):
+        # ten iterations would end a solve of a nan price in a ValueIterationError
+        with pytest.raises(ValueError, match=re.escape(repr(lam))):
+            design_threshold(lam, *stable, cfg=TenIterations())
 
     def test_iteration_cap_raises(self, stable, monkeypatch):
         monkeypatch.setattr(ViConfig, "max_iter", 2)
@@ -67,6 +84,13 @@ class TestBuildTable:
     def test_grid_must_start_at_zero(self, stable):
         with pytest.raises(ValueError):
             build_table([1.0, 2.0], *stable)
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan], [0.0, 1.0, math.inf],
+                                      [0.0, math.inf, math.inf], [-math.inf, 0.0]])
+    def test_non_finite_price_rejected_before_any_solve(self, stable, grid, monkeypatch):
+        monkeypatch.setattr(sampler, "_solve_threshold", no_solve)
+        with pytest.raises(ValueError, match=r"prices must be finite, got \[-?(nan|inf)"):
+            build_table(grid, *stable, cfg=TenIterations())
 
     def test_class_ordering_on_default_grid(self, stable, unstable):
         grid = default_lambda_grid()
@@ -115,6 +139,42 @@ class TestExpectedValue:
         kept = eh2_stay.copy()
         fresh_stay, fresh_send = mdp.expected_values(h2)
         assert np.array_equal(kept, fresh_stay) and eh2_send == fresh_send
+
+
+OFF_STANDARD = {"a0.9_z2": PlantSpec(A=0.9, B=1.0, Z=2.0, Qx=1.0, Qu=0.0),
+                "a-0.8": PlantSpec(A=-0.8, B=1.0, Z=1.0, Qx=1.0, Qu=0.0)}
+
+
+class TestPinnedThresholds:
+    """Two classes off the standard pair, pinned from the iteration over the full
+    error grid that averaged each iterate with its mirror image."""
+
+    TABLE_SHA256 = {  # of the default-grid table's thresholds.tobytes()
+        "a0.9_z2": "4da16e9aad5697e0b2128e0f31fb9faa2d3f15ee98339128f2103e0224a8e1da",
+        "a-0.8": "584e488fbd74ed28abec3b9d6bce816b13f832934bec45ac7715360a2f257e40",
+    }
+    SPOT = {"a0.9_z2": {0.3: 0.7000000000000001, 7.0: 2.6, 40.0: 4.7},
+            "a-0.8": {0.3: 0.8500000000000001, 7.0: 2.95, 40.0: 6.050000000000001}}
+
+    @pytest.mark.parametrize("name", OFF_STANDARD)
+    def test_default_grid_table(self, name):
+        spec = OFF_STANDARD[name]
+        table = build_table(default_lambda_grid(), spec, design_lqg(spec))
+        assert hashlib.sha256(table.thresholds.tobytes()).hexdigest() == self.TABLE_SHA256[name]
+
+    @pytest.mark.parametrize("name", OFF_STANDARD)
+    def test_spot_thresholds(self, name):
+        spec = OFF_STANDARD[name]
+        sol = design_lqg(spec)
+        assert {lam: design_threshold(lam, spec, sol) for lam in self.SPOT[name]} == self.SPOT[name]
+
+    @pytest.mark.parametrize("spec", [*TWO_HOP_PLANTS, *OFF_STANDARD.values()],
+                             ids=["stable", "unstable", *OFF_STANDARD])
+    def test_end_value_function_is_even_and_stay_values_cover_the_half(self, spec):
+        mdp = grid_mdp(spec)
+        _, (h, (eh_stay, _)) = _solve_threshold(7.0, mdp)
+        assert np.array_equal(h, h[::-1])
+        assert eh_stay.shape == (mdp.n // 2 + 1,)
 
 
 class TestLookup:
