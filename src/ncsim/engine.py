@@ -161,7 +161,9 @@ class RunMetrics:
 
     @property
     def cost_per_loop(self) -> np.ndarray:
-        return self.cost_sum / self.steps_cost
+        """Mean stage cost per loop; NaN, undefined, for a run that closed no costed period."""
+        with np.errstate(invalid="ignore"):
+            return self.cost_sum / self.steps_cost
 
     @property
     def backlog_per_loop(self) -> np.ndarray:
@@ -373,7 +375,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         delivered=np.array(delivered_cnt, dtype=float),
         delay_sum=np.array(delay_sum, dtype=float),
         cost_sum=np.array(cost_sum), backlog_sum=np.array(backlog_acc, dtype=float),
-        steps_rate=horizon - warmup, steps_cost=max(horizon - 1 - warmup, 1),
+        steps_rate=horizon - warmup, steps_cost=horizon - 1 - warmup,
         slots_backlog=total_slots - warmup_slot,
         diverging=diverging, inflight_sum=inflight_sum,
         noise=noise if record_errors else None,

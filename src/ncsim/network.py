@@ -95,17 +95,14 @@ def assign_flow(weights: Mapping, rng: np.random.Generator):
 
 
 class TieStream:
-    """The draws `integers(n)` and `choice(n, k)` (no replacement) of a Generator.
+    """The draws `integers(n)` of a Generator.
 
     Reads the bit generator's raw 64-bit outputs BLOCK at a time and returns,
     draw for draw, what a Generator on it would: 32-bit halves, low half
-    first, scaled by Lemire's method with rejection; `choice` is Floyd's
-    algorithm, then a Fisher-Yates shuffle of the k picks.  The Generator
-    leaves that `choice` path when n > 10000 and k > n // 50; that is rejected.
+    first, scaled by Lemire's method with rejection.
     """
 
     BLOCK = 256
-    MAX_CHOICE = 10_000
 
     def __init__(self, bit_generator: np.random.BitGenerator):
         self._raw = bit_generator.random_raw
@@ -130,31 +127,15 @@ class TieStream:
                 m = self._next32() * n
         return m >> 32
 
-    def choice(self, n: int, size: int) -> list:
-        if n < 1 or not 0 <= size <= n or n > self.MAX_CHOICE and size > n // 50:
-            raise ValueError(f"not a sample the Generator draws by Floyd: n={n}, size={size}")
-        picks: list = []
-        taken = set()
-        for j in range(n - size, n):
-            val = self.integers(j + 1)
-            if val in taken:
-                val = j
-            taken.add(val)
-            picks.append(val)
-        for i in range(size - 1, 0, -1):
-            j = self.integers(i + 1)
-            picks[i], picks[j] = picks[j], picks[i]
-        return picks
-
 
 def pick_max_weight(tiers: dict, capacity: int, rng: TieStream) -> list:
     """Up to `capacity` loops of the largest weights, uniform among ties.
 
     Per-hop max-weight selection over one hop's `BufferSet.tiers` map: tiers
     are taken whole from the top weight down while they fit; the first tier
-    larger than the remaining capacity is sampled without replacement from
-    the TieStream `rng`; a numpy Generator serves at capacity <= 2 only, as
-    its `choice` draws with replacement.  `tiers` is only read.
+    larger than the remaining capacity is sampled without replacement, one
+    `rng.integers` draw per pick among the tied loops not yet drawn (`rng` a
+    `TieStream` or a numpy Generator).  `tiers` is only read.
     """
     chosen: list = []
     need = capacity
@@ -169,14 +150,15 @@ def pick_max_weight(tiers: dict, capacity: int, rng: TieStream) -> list:
         elif need == 1:
             chosen.append(tier[rng.integers(tied)])
         elif need == 2:
-            # uniform unordered pair without replacement
+            # the general draw below, unrolled: the second pick skips the first
             first = rng.integers(tied)
             second = rng.integers(tied - 1)
             if second >= first:
                 second += 1
             chosen += (tier[first], tier[second])
         else:
-            chosen += [tier[j] for j in rng.choice(tied, need)]
+            rest = tier[:]
+            chosen += [rest.pop(rng.integers(len(rest))) for _ in range(need)]
         break
     return chosen
 

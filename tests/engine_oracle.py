@@ -5,7 +5,7 @@ the same scenario, tables and options the two engines must return identical
 `RunMetrics` (tests/test_engine_parity.py), and the count table of
 `ncsim.network.BufferSet` must match these deque buffers after every call
 (tests/test_network.py).  The deque `BufferSet`, `Packet`, `transmit`, the
-list `InputLog`, `differential_backlog`, `RunMetrics` and the per-trace
+list `InputLog`, `RunMetrics` and the per-trace
 `stability_diagnostic` are copied verbatim from earlier versions, so the
 oracle imports nothing the engine has since changed.  `_replay_scalar`
 rolls a late sample forward step by step, the estimator's recursion.  A
@@ -14,8 +14,12 @@ the links of a path of h hops n0 -> n1 -> ... -> nh, and the oracle reads
 each loop's source, target and path nodes off those paths; its buffers are
 keyed by (node, loop), so loops share no node's queue.  It defines its own
 `RateContractError` and `ReplayError`, and moves one packet per scheduled
-link and slot, the only rate a path position takes; its logic is unchanged.
-Not a test module itself.
+link and slot, the only rate a path position takes.  Its logic is
+unchanged but for one rule: a tie that needs three or more picks is drawn
+one `integers` draw per pick among the tied ids not yet drawn, as one and
+two picks always were, in place of one `Generator.choice` draw, so that
+`ncsim.network` has a single tie rule at every capacity.  Draws differ only
+where a hop's capacity is at least 3.  Not a test module itself.
 """
 
 from __future__ import annotations
@@ -97,11 +101,6 @@ class BufferSet:
         """Packets currently held anywhere (CC plus MAC)."""
         return (sum(len(q) for q in self.cc.values())
                 + sum(len(q) for q in self.tx.values()))
-
-
-def differential_backlog(b_m: float, b_n: float, theta: float = 1.0) -> float:
-    """Back-pressure weight theta * [B_m - B_n]+ of a flow on link (m, n)."""
-    return theta * max(b_m - b_n, 0.0)
 
 
 def transmit(buffers: BufferSet, assignments: Sequence, slot: int,
@@ -472,7 +471,8 @@ def _pick_max_weight(weights: list, ids: list, capacity: int,
                 second += 1
             take = [tier[first], tier[second]]
         else:
-            take = [tier[j] for j in rng.choice(len(tier), size=need, replace=False)]
+            rest = tier[:]
+            take = [rest.pop(int(rng.integers(len(rest)))) for _ in range(need)]
         chosen.extend(remaining_i[j] for j in take)
         for j in sorted(take, reverse=True):
             del remaining_w[j]

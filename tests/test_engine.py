@@ -310,6 +310,15 @@ class TestRun:
         with pytest.raises(NonFiniteError, match=r"loops \[2\]"):
             run(sc, tables, theta=0.8, force_delta=force)
 
+    def test_cost_is_undefined_until_a_period_closes(self, tables):
+        """A one-step run closes no period, so it has no stage cost: nan, not 0."""
+        one = run(make_two_hop_scenario(2, seed=0, horizon=1), tables)
+        assert one.steps_cost == 0 and np.all(np.isnan(one.cost_per_loop))
+        two = run(make_two_hop_scenario(2, seed=0, horizon=2), tables)
+        assert two.steps_cost == 1 and np.all(np.isfinite(two.cost_per_loop))
+        cell = sweep([2], 2, 0, tables, horizon=1).cell(2, "all", "cost")
+        assert math.isnan(cell.mean) and math.isnan(cell.ci95)
+
     def test_non_finite_theta_rejected(self, tables):
         sc = make_two_hop_scenario(2, seed=0, horizon=1000)
         for theta in (math.nan, math.inf, "1", None):

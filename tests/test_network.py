@@ -1,12 +1,13 @@
 """Buffers, Lindley dynamics, flow prioritization, WSR scheduling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engine_oracle
-from engine_oracle import differential_backlog
 from ncsim.network import (ActionSet, BufferSet, TieStream, assign_flow,
                            pick_max_weight, stability_diagnostic, transmit,
                            wsr_schedule)
@@ -71,20 +72,6 @@ class TestLindley:
     @given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
     def test_never_negative(self, y, r, mu):
         assert source_queue_after(y, r, mu) == (max(y + r - mu, 0), min(y + r, mu))
-
-
-class TestDifferentialBacklog:
-    def test_positive_gradient(self):
-        assert differential_backlog(5, 2) == 3
-
-    def test_negative_gradient_clamped(self):
-        assert differential_backlog(2, 5) == 0
-
-    def test_equal_backlogs(self):
-        assert differential_backlog(4, 4) == 0
-
-    def test_theta_scales(self):
-        assert differential_backlog(5, 2, theta=0.5) == 1.5
 
 
 class TestAssignFlow:
@@ -159,20 +146,50 @@ class TestPickMaxWeight:
         assert ties.integers(2**32 - 1) == old_rng.integers(2**32 - 1)
         assert tiers == tier_map(weights)
 
+    @staticmethod
+    def sequential_pick(tiers, capacity, rng):
+        """The tie rule written once: whole tiers from the top while they fit, then
+        one draw per pick among the tied loops not yet drawn."""
+        chosen = []
+        for weight in sorted(tiers, reverse=True):
+            rest, need = list(tiers[weight]), capacity - len(chosen)
+            chosen += rest if len(rest) <= need else [
+                rest.pop(rng.integers(len(rest))) for _ in range(need)]
+            if len(chosen) == capacity:
+                break
+        return chosen
 
-def choice_draws(max_n: int, max_size: int):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.tuples(st.just("choice"), st.just(n), st.integers(0, min(n, max_size))))
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.integers(-1, 3), max_size=16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_rule_at_every_capacity(self, weights, seed):
+        """The unrolled one- and two-pick draws are the general sequential draw."""
+        tiers = tier_map(weights)
+        for capacity in range(1, 7):
+            ties, rng = TieStream(np.random.PCG64(seed)), np.random.default_rng(seed)
+            assert pick_max_weight(tiers, capacity, ties) == self.sequential_pick(
+                tiers, capacity, rng)
+            assert ties.integers(2**32 - 1) == rng.integers(2**32 - 1)
+
+    def test_generator_never_repeats_a_loop(self):
+        for seed in range(200):
+            picks = pick_max_weight({1: list(range(6))}, 4, np.random.default_rng(seed))
+            assert len(picks) == len(set(picks)) == 4
+
+    def test_ties_are_uniform_over_subsets(self):
+        """3 picks from a 5-loop tie: each of the 10 subsets within 5 sigma of n/10."""
+        ties, n = TieStream(np.random.PCG64(7)), 20_000
+        counts = Counter(frozenset(pick_max_weight({2: [0, 1, 2, 3, 4]}, 3, ties))
+                         for _ in range(n))
+        assert len(counts) == 10
+        sigma = (n * 0.1 * 0.9) ** 0.5
+        assert all(abs(c - n / 10) <= 5 * sigma for c in counts.values())
 
 
 tie_draws = st.one_of(
-    st.tuples(st.just("integers"), st.integers(1, 50)),
+    st.integers(1, 50),
     # past 2**31 about half the 32-bit draws are rejected and redrawn
-    st.tuples(st.just("integers"), st.integers(2**31 + 1, 2**32 - 1)),
-    choice_draws(40, 40), choice_draws(TieStream.MAX_CHOICE, 8),
-    # past MAX_CHOICE the Generator keeps Floyd's algorithm for k <= n // 50
-    st.tuples(st.just("choice"), st.integers(TieStream.MAX_CHOICE + 1, 2**32 - 1),
-              st.integers(0, 8)))
+    st.integers(2**31 + 1, 2**32 - 1))
 
 
 class TestTieStream:
@@ -183,22 +200,14 @@ class TestTieStream:
         rng = np.random.default_rng(seed)
         ties = TieStream(np.random.PCG64(seed))
         ties.BLOCK = block  # small blocks make the draws cross refills
-        for draw in draws:
-            if draw[0] == "integers":
-                assert ties.integers(draw[1]) == rng.integers(draw[1])
-            else:
-                _, n, k = draw
-                assert ties.choice(n, k) == rng.choice(n, size=k, replace=False).tolist()
+        for n in draws:
+            assert ties.integers(n) == rng.integers(n)
 
     def test_out_of_range_rejected(self):
         ties = TieStream(np.random.PCG64(0))
         for n in (0, 2**32):
             with pytest.raises(ValueError):
                 ties.integers(n)
-        for n, k in ((TieStream.MAX_CHOICE + 1, (TieStream.MAX_CHOICE + 1) // 50 + 1),
-                     (3, 4), (0, 0)):
-            with pytest.raises(ValueError):
-                ties.choice(n, k)
 
 
 def dict_action_set(actions_to_rates):
@@ -352,7 +361,7 @@ class TestCountsTransport:
                 assert [row[i] for row in new.backlog] == want
                 lengths.append(want)
             for p, row in enumerate(new.diff):
-                assert row == [differential_backlog(q[p], q[p + 1]) for q in lengths]
+                assert row == [max(q[p] - q[p + 1], 0) for q in lengths]
                 assert new.tiers[p] == tier_map(row)
 
         births = 0
