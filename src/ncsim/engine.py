@@ -342,6 +342,8 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             remaining = total_slots - max(slot + 1, warmup_slot)
             assignments = []
             for pos, tiers, capacity in sched:
+                if not tiers:  # no positive weight at this hop: nothing to pick
+                    continue
                 for i in pick_max_weight(tiers, capacity, ties):
                     assignments.append((pos, i))
                     if pos == 0:

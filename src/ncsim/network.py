@@ -63,7 +63,8 @@ class BufferSet:
             q0 = self.backlog[0]
             q0[loop] += admitted
             gap = q0[loop] - self.backlog[1][loop]
-            _reweigh(self.diff[0], self.tiers[0], loop, gap if gap > 0 else 0)
+            if gap > 0:  # else the weight was 0 and stays 0
+                _reweigh(self.diff[0], self.tiers[0], loop, gap)
         return admitted
 
     def resident(self) -> int:
@@ -72,17 +73,16 @@ class BufferSet:
 
 
 def _reweigh(diff: list, tiers: dict, loop: int, weight: int) -> None:
-    """Set diff[loop] to `weight`, moving the loop to that weight's tier."""
+    """Set diff[loop] to `weight`, a new value, moving the loop to that weight's tier."""
     old = diff[loop]
-    if old != weight:
-        diff[loop] = weight
-        if old:
-            tier = tiers[old]
-            tier.remove(loop)
-            if not tier:
-                del tiers[old]
-        if weight:
-            insort(tiers.setdefault(weight, []), loop)
+    diff[loop] = weight
+    if old:
+        tier = tiers[old]
+        tier.remove(loop)
+        if not tier:
+            del tiers[old]
+    if weight:
+        insort(tiers.setdefault(weight, []), loop)
 
 
 def assign_flow(weights: Mapping, rng: np.random.Generator):
@@ -108,11 +108,10 @@ class TieStream:
         self._raw = bit_generator.random_raw
         self._halves: list = []  # 32-bit halves not yet read, next one last
 
-    def _next32(self) -> int:
-        if not self._halves:
-            # little-endian order puts each output's low half first
-            self._halves = self._raw(self.BLOCK).astype("<u8").view("<u4")[::-1].tolist()
-        return self._halves.pop()
+    def _refill(self) -> list:
+        # little-endian order puts each output's low half first
+        self._halves = self._raw(self.BLOCK).astype("<u8").view("<u4")[::-1].tolist()
+        return self._halves
 
     def integers(self, n: int) -> int:
         """Uniform on 0..n-1 for 1 <= n < 2**32; n = 1 reads nothing."""
@@ -120,11 +119,11 @@ class TieStream:
             raise ValueError(f"n must be in 1..2**32-1, got {n}")
         if n == 1:
             return 0
-        m = self._next32() * n
+        m = (self._halves or self._refill()).pop() * n
         if m & 0xFFFFFFFF < n:
             threshold = (0x100000000 - n) % n
             while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * n
+                m = (self._halves or self._refill()).pop() * n
         return m >> 32
 
 
@@ -139,7 +138,7 @@ def pick_max_weight(tiers: dict, capacity: int, rng: TieStream) -> list:
     """
     chosen: list = []
     need = capacity
-    for weight in sorted(tiers, reverse=True):
+    for weight in sorted(tiers, reverse=True) if len(tiers) > 1 else tiers:
         tier = tiers[weight]
         tied = len(tier)
         if tied <= need:
@@ -229,7 +228,10 @@ def transmit(buffers: BufferSet, assignments: Sequence) -> list:
             backlog[p + 1][loop] += 1
         for q in affected[p]:
             gap = backlog[q][loop] - backlog[q + 1][loop]
-            _reweigh(diff[q], tiers[q], loop, gap if gap > 0 else 0)
+            if gap < 0:
+                gap = 0
+            if gap != diff[q][loop]:
+                _reweigh(diff[q], tiers[q], loop, gap)
     return delivered
 
 

@@ -171,6 +171,23 @@ class TestPickMaxWeight:
                 tiers, capacity, rng)
             assert ties.integers(2**32 - 1) == rng.integers(2**32 - 1)
 
+    def test_empty_map_picks_nothing_and_draws_nothing(self):
+        for capacity in (1, 2, 3):
+            ties = TieStream(np.random.PCG64(capacity))
+            assert pick_max_weight({}, capacity, ties) == []
+            assert ties.integers(2**32 - 1) == np.random.default_rng(capacity).integers(2**32 - 1)
+
+    def test_one_weight_matches_the_sequential_pick(self):
+        """A map of one weight, at need 1, 2 and 3, for ties of 1 to 5 loops."""
+        for tied in range(1, 6):
+            tiers = {3: list(range(10, 10 + tied))}
+            for capacity in (1, 2, 3):
+                for seed in range(20):
+                    ties, rng = TieStream(np.random.PCG64(seed)), np.random.default_rng(seed)
+                    assert pick_max_weight(tiers, capacity, ties) == self.sequential_pick(
+                        tiers, capacity, rng)
+                    assert ties.integers(2**32 - 1) == rng.integers(2**32 - 1)
+
     def test_generator_never_repeats_a_loop(self):
         for seed in range(200):
             picks = pick_max_weight({1: list(range(6))}, 4, np.random.default_rng(seed))
@@ -320,6 +337,21 @@ class TestTransmit:
         assert transmit(buffers, [(1, 0)] * 2) == [0, 0]
         assert [row[0] for row in buffers.backlog] == [0, 0, 0]  # target buffers do not exist
         assert buffers.resident() == 0
+
+    def test_move_that_keeps_a_weight_keeps_its_tiers(self):
+        """Row 0's gap goes from -2 to -1 on a relay move: its weight stays 0."""
+        buffers = BufferSet((3,))
+        buffers.cc_push(0)
+        buffers.cc_push(0)
+        buffers.cc_admit(0)
+        transmit(buffers, [(0, 0)])
+        transmit(buffers, [(0, 0)])
+        assert [row[0] for row in buffers.backlog] == [0, 2, 0, 0]
+        transmit(buffers, [(1, 0)])
+        assert [row[0] for row in buffers.backlog] == [0, 1, 1, 0]
+        assert [row[0] for row in buffers.diff] == [0, 0, 1]
+        for p, row in enumerate(buffers.diff):
+            assert buffers.tiers[p] == tier_map(row)
 
     def test_source_admission_same_slot_allowed(self):
         buffers = BufferSet(LINE)
