@@ -64,11 +64,12 @@ class PlantSpec:
     """One scalar LTI loop and its quadratic cost, one number per field.
 
     A/B: system/input coefficient, finite; Z: noise variance, Qx/Qu:
-    state/input cost weights, weight: the loop's weight in the network-wide
-    cost, each finite and non-negative.  Any other value raises ValueError
-    naming the field.  A spec holds the plant's numbers as floats a, b, z,
-    qx, qu, compares and hashes by them, and keeps A..Qu as read-only 1 x 1
-    arrays.
+    state/input cost weights, weight: the scale on the error weight qe in the
+    loop's threshold design (weight * qe, so part of its class id; the costs
+    `run` and `sweep` report are unweighted), each finite and non-negative.
+    Any other value raises ValueError naming the field.  A spec holds the
+    plant's numbers as floats a, b, z, qx, qu, compares and hashes by them,
+    and keeps A..Qu as read-only 1 x 1 arrays.
     """
 
     A: np.ndarray = field(compare=False)

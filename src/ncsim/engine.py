@@ -202,18 +202,20 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     """Simulate one seeded scenario and collect metrics.
 
     `tables` maps plant class ids to ThresholdTable.  `force_delta`, when
-    given as a (horizon, L) boolean array, overrides the threshold sampler
-    (used by oracle tests); any other shape is a ValueError.  Raises
-    NonFiniteError, naming the loops, if a plant state or cost overflowed;
-    loop state is Python floats, which overflow to inf and nan without a
-    warning.
+    given as (horizon, L) booleans (an array or nested lists), overrides the
+    threshold sampler (used by oracle tests); any other shape is a
+    ValueError.  Raises NonFiniteError, naming the loops, if a plant state or
+    cost overflowed; loop state is Python floats, which overflow to inf and
+    nan without a warning.
     """
     _check_theta(theta)
     plants = scenario.plants
     L = len(plants)
     horizon = scenario.horizon
-    if force_delta is not None and np.shape(force_delta) != (horizon, L):
-        raise ValueError(f"force_delta must have shape {(horizon, L)}, got {np.shape(force_delta)}")
+    if force_delta is not None:
+        if np.shape(force_delta) != (horizon, L):
+            raise ValueError(f"force_delta must have shape {(horizon, L)}, got {np.shape(force_delta)}")
+        force_delta = np.asarray(force_delta, dtype=bool)
     spst = scenario.slots_per_step
     warmup = int(horizon * WARMUP_FRAC)
 
@@ -223,8 +225,10 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         if p not in per_plant:
             sol, table = _design(p, tables)
             # M(theta * B) for every source backlog B a run can reach: a source
-            # holds at most one packet per elapsed period
-            row = table.lookup_many(theta * np.arange(horizon + 1)).tolist()
+            # holds at most one packet per elapsed period; a price past the
+            # float range is inf, which the lookup clamps to the top knot
+            with np.errstate(over="ignore"):
+                row = table.lookup_many(theta * np.arange(horizon + 1)).tolist()
             per_plant[p] = (-sol.k, row)
         loops.append((i, p.a, p.b, *per_plant[p], p.qx, p.qu))
 

@@ -207,17 +207,17 @@ def wsr_schedule(link_state, link_weights: Mapping, action_set: ActionSet,
 def transmit(buffers: BufferSet, assignments: Sequence) -> list:
     """Move one packet per scheduled link; returns the loops whose packet was delivered.
 
-    `assignments` is a sequence of (hop, loop) pairs, `hop` the position on
-    the loop's path.  Each pair moves one of the loop's packets at that hop
-    one hop on, if the buffer there holds one.  Pairs run downstream first,
-    so a packet relayed in this call waits for the next one.  Packets that
-    leave the path's last hop reach the loop's target and are emitted, never
-    buffered: a loop is listed once per packet delivered.
+    `assignments` lists (hop, loop) pairs in ascending hop order, as
+    `engine.run` picks them; `hop` is the position on the loop's path.  Each
+    pair moves one of the loop's packets at that hop one hop on, if the buffer
+    there holds one.  Pairs run last first, so downstream hops move first and
+    a packet relayed in this call waits for the next one.  A packet leaving its
+    path's last hop is emitted, never buffered: its loop is listed per packet.
     """
     delivered = []
     backlog, diff, tiers = buffers.backlog, buffers.diff, buffers.tiers
     last, affected = buffers.last, buffers.affected
-    for p, loop in sorted(assignments, reverse=True):
+    for p, loop in reversed(assignments):
         here = backlog[p]
         if not here[loop]:
             continue

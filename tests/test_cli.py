@@ -73,6 +73,13 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=f"unknown configuration key: {key}$"):
                 parse_config(["--config", str(path)])
 
+    def test_readme_lists_the_recognized_keys(self):
+        """The README's "Recognized keys" sentence names exactly the parsed keys."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        sentence = re.search(r"Recognized keys:(.*?);", readme, re.S).group(1)
+        listed = [name for name in re.findall(r"`([^`]+)`", sentence) if not name.startswith("-")]
+        assert sorted(listed) == sorted(cli._KEY_PARSERS)
+
     def test_unreadable_config_file_names_the_path(self, tmp_path):
         missing = tmp_path / "missing.cfg"
         binary = tmp_path / "binary.cfg"

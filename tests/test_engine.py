@@ -246,6 +246,30 @@ class TestRun:
         with pytest.raises(ValueError, match=r"force_delta must have shape \(100, 4\)"):
             run(sc, tables, force_delta=np.ones(shape, dtype=bool))
 
+    def test_force_delta_may_be_a_nested_list(self, tables):
+        """Bools or 0/1 ints in nested lists force the same pattern as the array."""
+        horizon = 300
+        force = np.random.default_rng(1).random((horizon, 4)) < 0.4
+        sc = make_two_hop_scenario(4, seed=2, horizon=horizon)
+        want = run(sc, tables, force_delta=force, record_errors=True)
+        for nested in (force.tolist(), force.astype(int).tolist()):
+            got = run(sc, tables, force_delta=nested, record_errors=True)
+            assert np.array_equal(got.delta_trace, want.delta_trace)
+            assert np.array_equal(got.error_trace, want.error_trace)
+
+    @pytest.mark.filterwarnings("error")
+    def test_price_past_the_float_range_is_the_top_knot(self, tables):
+        """At theta = 1e306, theta * B overflows to inf for the largest backlogs
+        of a 1000-step run; the row clamps it to the top knot without a warning,
+        as it clamps any price above 200, so the run equals one at theta = 1e300."""
+        sc = make_two_hop_scenario(4, seed=6, horizon=1000)
+        huge, large = (run(sc, tables, theta=theta, record_errors=True, check_conservation=True)
+                       for theta in (1e306, 1e300))
+        for f in dataclasses.fields(huge):
+            got, want = getattr(huge, f.name), getattr(large, f.name)
+            assert (np.array_equal(got, want) if isinstance(got, np.ndarray)
+                    else got == want), f.name
+
     @pytest.mark.parametrize("L, flagged", [(18, 0), (20, 0), (22, 22), (24, 24)])
     def test_stability_flag_follows_the_capacity_bound(self, tables, L, flagged):
         # each hop carries 2 links x 10 slots = 20 packets per period; with

@@ -8,8 +8,9 @@ Every case also runs the packet conservation check and the invariants that
 need no oracle: births delivered in FIFO order, finite rate, backlog and
 cost, a rate of at most one per period, and a delay that is NaN exactly
 where nothing was delivered and non-negative elsewhere.  On the same
-scenarios, every slot moves at most its hops' capacities, and the
-in-flight count summed over the boundaries obeys Little's identity.
+scenarios, every slot moves at most its hops' capacities and lists its
+picks in hop order, and the in-flight count summed over the boundaries
+obeys Little's identity.
 """
 
 from collections import Counter
@@ -74,6 +75,8 @@ def test_each_slot_moves_within_capacity(tables, scenario, theta):
         run(scenario, tables, theta=theta)
     for assignments, delivered in slots:
         assert len(set(assignments)) == len(assignments)  # no link picked twice
+        positions = [pos for pos, _ in assignments]
+        assert positions == sorted(positions)  # hop by hop, upstream first, as transmit needs
         per_position = Counter(pos for pos, _ in assignments)
         assert all(n <= scenario.capacities[pos] for pos, n in per_position.items())
         assert len(delivered) <= len(assignments)

@@ -378,7 +378,8 @@ class TestCountsTransport:
         """Same deliveries per loop and residents as the deque buffers
         after every slot, each loop's backlog column equal to its deque lengths
         along the path (zero past it), and diff rows equal to [B_p - B_p+1]+ of
-        those.  A rate r is r (hop, loop) pairs in the slot's one call."""
+        those.  A rate r is r (hop, loop) pairs in the slot's one call, which
+        lists its pairs in ascending hop order, as `engine.run` does."""
         paths = engine_oracle.line_paths(hops)
         new, old = BufferSet(hops), engine_oracle.BufferSet(paths)
 
@@ -416,11 +417,39 @@ class TestCountsTransport:
                     p %= hops[loop]
                     pairs += [(p, loop)] * rate
                     links.append((paths[loop][p], loop, rate))
-                got = transmit(new, pairs)
+                got = transmit(new, sorted(pairs))
                 want = engine_oracle.transmit(old, links, slot)
                 assert sorted(got) == sorted(i for i, _ in want)
                 assert_same_state()
                 slot += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(hops=st.lists(st.integers(1, 3), min_size=1, max_size=4), rounds=slot_rounds,
+           rng=st.randoms(use_true_random=False))
+    def test_order_within_a_hop_does_not_matter(self, hops, rounds, rng):
+        """Each call's pairs in hop order, each hop's pairs once as drawn and once
+        shuffled: the same counts, weights and tiers, and the same deliveries."""
+        drawn, shuffled = BufferSet(hops), BufferSet(hops)
+        for pushes, admits, calls in rounds:
+            for buffers in (drawn, shuffled):
+                for loop in pushes:
+                    buffers.cc_push(loop % len(hops))
+                for loop in admits:
+                    buffers.cc_admit(loop % len(hops))
+            for call in calls:
+                by_hop = [[] for _ in range(max(hops))]
+                for p, loop, rate in call:
+                    loop %= len(hops)
+                    p %= hops[loop]
+                    by_hop[p] += [(p, loop)] * rate
+                pairs = [pair for group in by_hop for pair in group]
+                for group in by_hop:
+                    rng.shuffle(group)
+                got = transmit(shuffled, [pair for group in by_hop for pair in group])
+                assert Counter(got) == Counter(transmit(drawn, pairs))
+                assert shuffled.backlog == drawn.backlog
+                assert shuffled.diff == drawn.diff
+                assert shuffled.tiers == drawn.tiers
 
 
 class TestPicksMoveOnePacket:
