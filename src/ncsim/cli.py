@@ -75,7 +75,7 @@ _KEY_PARSERS = {
 
 def _read_config_file(path: str) -> dict:
     entries, first_line = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte order mark is no key
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -149,14 +149,19 @@ def _undefined_gain(spec: PlantSpec) -> ValueError:
 def design_lqg(spec: PlantSpec) -> LqgSolution:
     """Riccati fixed point p, gain k = b p a / (qu + b p b), error weight qe, cost floor p z.
 
-    Raises ValueError if qu + b p b is zero, where the gain is undefined.
+    Raises ValueError if qu + b p b is zero, where the gain is undefined, and
+    if k, qe or p z overflows, naming the plant either way.
     """
     p, a, b = float(solve_riccati(spec)[0, 0]), spec.a, spec.b
     s = spec.qu + b * p * b
     if not s:
         raise _undefined_gain(spec)
     k = b * p * a / s
-    return LqgSolution(p=p, k=k, qe=k * s * k, floor_cost=p * spec.z)
+    qe, floor_cost = k * s * k, p * spec.z
+    if not all(map(math.isfinite, (k, qe, floor_cost))):
+        raise ValueError(f"LQG design overflows for A={a!r}, B={b!r}, Z={spec.z!r}, "
+                         f"Qx={spec.qx!r}, Qu={spec.qu!r}: k={k!r}, qe={qe!r}, p z={floor_cost!r}")
+    return LqgSolution(p=p, k=k, qe=qe, floor_cost=floor_cost)
 
 
 def estimator_deliver(a: float, b: float, x_sampled: float, inputs) -> float:

@@ -20,10 +20,24 @@ The noise is symmetric and the cost even in e, so the relative value
 function h is even: the iteration computes its values on the half e >= 0
 only and mirrors them into the full grid that E[h(e')] interpolates on.
 
+At a given price most states cannot prefer staying.  E[h(e')] is a
+positively weighted sum of values of h, so it is at least min(min h, 0) up
+to rounding; a state whose stay cost Qe * (A^2 e^2 + Z) alone exceeds the
+send value minus that floor sends, whatever h is there (MacQueen's test for
+suboptimal actions, Operations Research 15, 1967).  Each iteration
+therefore computes the send value first, finds the first such state of the
+half e >= 0 with one searchsorted (the stay cost is nondecreasing there),
+computes E[h(e')] under staying only on the states before it, and gives
+every later state the send value, which the minimum of the two would have
+returned bit for bit.  The bound uses min h, not 0, as h may dip below 0
+(the unstable standard class's to -0.022); a margin of
+1e-9 * (|send| + max |h| + 1) covers rounding.  With A = 0 or Qe = 0 no
+state is cut.
+
 A table solves its prices in ascending order.  Each price starts from the
-previous price's relative value function h and from the expected values
-E[h(e')] under both actions that the previous price's final greedy step
-computed, so its first iteration does not compute them again.
+previous price's relative value function h alone: its first iteration
+computes the expected values E[h(e')] afresh, since a larger price cuts
+fewer states.
 
 Online, the price is the scaled backlog of the loop's source MAC buffer,
 lambda = theta * B, so a congested source raises the threshold and throttles
@@ -189,39 +203,56 @@ class _ErrorGridMdp:
         double, in its work buffers: h[lo + 1] is h[1:][lo] as lo <= n - 2, and "clip"
         mode lets `take` write into `out` unbuffered.  Only the result is a new array."""
         lo, keep, fr, low, high = coeffs
-        np.take(h, lo, out=low, mode="clip")
+        h.take(lo, out=low, mode="clip")
         low *= keep
-        np.take(h[1:], lo, out=high, mode="clip")
+        h[1:].take(lo, out=high, mode="clip")
         high *= fr
         low += high
         return low @ self.w_wts
 
-    def expected_values(self, h) -> tuple:
-        """(E[h(e')] per state e >= 0 if not sending, E[h(e')] if sending), for an even `h`."""
-        return self.expected_value(h, self.stay), float(self.expected_value(h, self.send))
+    def backup(self, h, lam: float) -> tuple:
+        """(send, stay) for an even `h`: the cost-to-go of sending, and stay_cost + E[h(e')]
+        on the leading states e >= 0 that may prefer staying; every later state sends.
+
+        Those are the states before the first whose stay cost exceeds send - min(min h, 0)
+        by a rounding margin, rounded up to a multiple of four rows: the matrix-vector
+        product computes rows in blocks of four, so each row comes out as in the full
+        product.  Their expected values use leading rows of the coefficients and buffers.
+        """
+        send = self.send_cost + lam + float(self.expected_value(h, self.send))
+        half = h[self.mid:]
+        lowest, highest = float(np.minimum.reduce(half)), float(np.maximum.reduce(half))
+        margin = 1e-9 * (abs(send) + max(highest, -lowest) + 1.0)
+        rows = int(self.stay_cost.searchsorted(send - min(lowest, 0.0) + margin, side="right"))
+        rows = -(-rows // 4) * 4
+        eh_stay = self.expected_value(h, [c[:rows] for c in self.stay])
+        return send, self.stay_cost[:rows] + eh_stay
 
 
-def _solve_threshold(lam: float, mdp: _ErrorGridMdp, start: tuple | None = None):
-    """Relative value iteration under `mdp.cfg` on the half e >= 0; returns (threshold, end).
+def _solve_threshold(lam: float, mdp: _ErrorGridMdp, h: np.ndarray | None = None):
+    """Relative value iteration under `mdp.cfg` on the half e >= 0; returns (threshold, h).
 
-    A start or end is (h, mdp.expected_values(h)) with h over the full,
-    mirrored grid, in arrays no later step writes; no start means h = 0.
-    The end holds the final greedy step's values, so a solve started from
-    it, as `build_table`'s next price is, does not compute them again.
+    `h`, the start, and the h returned are over the full, mirrored grid, in
+    arrays no later step writes; no start means h = 0.
     """
     cfg = mdp.cfg
-    if start is None:
+    if h is None:
         h = np.zeros(mdp.n)
-        start = h, mdp.expected_values(h)
-    h, (eh_stay, eh_send) = start
+    send, stay = mdp.backup(h, lam)
+    th = np.empty(mdp.stay_cost.shape)  # each iterate's half e >= 0, before mirroring
     span = math.inf
-    for _ in range(cfg.max_iter):
-        th = np.minimum(mdp.stay_cost + eh_stay, mdp.send_cost + lam + eh_send)
+    for it in range(cfg.max_iter):
+        th[stay.size:] = send
+        np.minimum(stay, send, out=th[:stay.size])
         diff = th - h[mdp.mid:]
-        span = float(diff.max() - diff.min())
+        # as Python floats, an overflowed iterate's inf - inf is nan without a warning
+        span = float(np.maximum.reduce(diff)) - float(np.minimum.reduce(diff))
+        if not math.isfinite(span):
+            raise ValueIterationError(f"non-finite values at lambda={lam:g}: span {span} "
+                                      f"after {it + 1} iterations")
         th -= th[0]
         h = np.concatenate((th[:0:-1], th))  # h is even in e: mirror the half e >= 0
-        eh_stay, eh_send = mdp.expected_values(h)
+        send, stay = mdp.backup(h, lam)
         if span <= cfg.span_tol:
             break
     else:
@@ -230,16 +261,14 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, start: tuple | None = None)
 
     # Final greedy policy; ties broken toward transmitting so that a free
     # channel (lambda = 0) yields M = 0.
-    half = (mdp.send_cost + lam + eh_send) <= (mdp.stay_cost + eh_stay)
-    if half.any():
-        first = int(np.argmax(half))
-        if not half[first:].all():
-            raise ThresholdStructureError(f"policy at lambda={lam:g} is not threshold-form; "
-                                          "refine the grid")
-        threshold = float(mdp.grid[mdp.mid + first])
-    else:
-        threshold = float(cfg.e_max)
-    return threshold, (h, (eh_stay, eh_send))
+    half = send <= stay  # every state past the cut sends too
+    first = int(np.argmax(half)) if half.any() else stay.size
+    if not half[first:].all():
+        raise ThresholdStructureError(f"policy at lambda={lam:g} is not threshold-form; "
+                                      "refine the grid")
+    if first < mdp.stay_cost.size:
+        return float(mdp.grid[mdp.mid + first]), h
+    return float(cfg.e_max), h
 
 
 def design_threshold(lam: float, spec: PlantSpec, sol: LqgSolution,
@@ -255,9 +284,8 @@ def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
                 cfg: ViConfig = ViConfig()) -> ThresholdTable:
     """Threshold table over an ascending price grid starting at 0.
 
-    Each solve starts from the previous price's relative value function
-    and expected values, and numerical jitter is removed by isotonic
-    clipping (running maximum).
+    Each solve starts from the previous price's relative value function,
+    and numerical jitter is removed by isotonic clipping (running maximum).
     """
     lams = np.asarray(list(lambda_grid), dtype=float)
     if not np.isfinite(lams).all():
@@ -269,9 +297,9 @@ def build_table(lambda_grid: Iterable[float], spec: PlantSpec, sol: LqgSolution,
 
     mdp = _ErrorGridMdp(*_class_params(spec, sol), cfg)
     thresholds = np.empty_like(lams)
-    start = None
+    h = None
     for i, lam in enumerate(lams):
-        thresholds[i], start = _solve_threshold(float(lam), mdp, start)
+        thresholds[i], h = _solve_threshold(float(lam), mdp, h)
     thresholds = np.maximum.accumulate(thresholds)
     return ThresholdTable(lambdas=lams, thresholds=thresholds,
                           class_id=plant_class_id(spec, sol))

@@ -80,6 +80,12 @@ class TestParseConfig:
         listed = [name for name in re.findall(r"`([^`]+)`", sentence) if not name.startswith("-")]
         assert sorted(listed) == sorted(cli._KEY_PARSERS)
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbftheta=2\nseed=5\n")  # as some editors save UTF-8
+        cfg = parse_config(["--config", str(path)])
+        assert (cfg.theta, cfg.seed) == (2.0, 5)
+
     def test_unreadable_config_file_names_the_path(self, tmp_path):
         missing = tmp_path / "missing.cfg"
         binary = tmp_path / "binary.cfg"

@@ -101,6 +101,18 @@ class TestGain:
         with pytest.raises(ValueError, match=named):
             design_lqg(spec)
 
+    @pytest.mark.parametrize("a, b, z, qx, overflowing", [
+        (1e200, 1.0, 1.0, 1.0, "qe=inf"),            # k = 1e200, k s k overflows
+        (1e200, 1e-150, 1.0, 1.0, "k=inf"),          # k = a / b overflows
+        (0.5, 1.0, 1e10, 1e300, "p z=inf"),           # p = qx finite, p z overflows
+    ])
+    def test_overflowing_design_names_the_plant(self, a, b, z, qx, overflowing):
+        spec = PlantSpec(A=a, B=b, Z=z, Qx=qx, Qu=0.0)
+        named = re.escape(f"LQG design overflows for A={a!r}, B={b!r}, Z={z!r}, Qx={qx!r}, "
+                          "Qu=0.0: ")
+        with pytest.raises(ValueError, match=f"^{named}.*{re.escape(overflowing)}"):
+            design_lqg(spec)
+
 
 def forced_run(L, horizon, always):
     """engine.run on the two-hop scenario with every sampling decision forced."""

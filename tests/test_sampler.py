@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+import vi_oracle
 
 from ncsim import sampler
 from ncsim.control import PlantSpec, design_lqg
@@ -58,6 +59,13 @@ class TestDesignThreshold:
         # ten iterations would end a solve of a nan price in a ValueIterationError
         with pytest.raises(ValueError, match=re.escape(repr(lam))):
             design_threshold(lam, *stable, cfg=TenIterations())
+
+    def test_overflowing_class_raises_at_the_first_iteration(self):
+        # design_lqg's k and qe are finite; weight * qe overflows to inf
+        spec = PlantSpec(A=1e150, B=1.0, Z=1.0, Qx=1.0, Qu=0.0, weight=1e10)
+        with pytest.raises(ValueIterationError,
+                           match=r"^non-finite values at lambda=1: span nan after 1 iterations$"):
+            design_threshold(1.0, spec, design_lqg(spec))
 
     def test_iteration_cap_raises(self, stable, monkeypatch):
         monkeypatch.setattr(ViConfig, "max_iter", 2)
@@ -122,23 +130,25 @@ class TestExpectedValue:
         for scale in (1.0, 1e-3, 1e4):
             h = scale * rng.standard_normal(mdp.n)
             h = h + h[::-1]  # the value functions are even in e
-            eh_stay, eh_send = mdp.expected_values(h)
-            assert np.array_equal(eh_stay, self.formula(h, mdp, mdp.stay))
-            assert eh_send == float(self.formula(h, mdp, mdp.send))
+            eh_stay = self.formula(h, mdp, mdp.stay)
+            assert np.array_equal(mdp.expected_value(h, mdp.stay), eh_stay)
+            assert mdp.expected_value(h, mdp.send) == self.formula(h, mdp, mdp.send)
+            for rows in (4, 120, 500):  # the leading rows a cut leaves, in blocks of four
+                leading = mdp.expected_value(h, [c[:rows] for c in mdp.stay])
+                assert np.array_equal(leading, eh_stay[:rows])
 
     def test_values_handed_to_the_next_price_are_a_fresh_computation(self, unstable):
-        mdp = grid_mdp(unstable[0])
-        _, end = _solve_threshold(1.0, mdp)
-        h, (eh_stay, eh_send) = end
-        kept = eh_stay.copy()
-        fresh_stay, fresh_send = mdp.expected_values(h)
-        assert np.array_equal(kept, fresh_stay) and eh_send == fresh_send
-        # the next solve writes the work buffers, never the arrays handed to it
-        _, (h2, (eh2_stay, eh2_send)) = _solve_threshold(2.0, mdp, end)
-        assert np.array_equal(eh_stay, kept)
-        kept = eh2_stay.copy()
-        fresh_stay, fresh_send = mdp.expected_values(h2)
-        assert np.array_equal(kept, fresh_stay) and eh2_send == fresh_send
+        """The next price starts from h alone, as the full-row iteration started from h and
+        its expected values computed afresh; the h handed to it is never written."""
+        spec, sol = unstable
+        mdp = grid_mdp(spec)
+        full = vi_oracle._ErrorGridMdp(*_class_params(spec, sol), ViConfig())
+        _, h = _solve_threshold(1.0, mdp)
+        kept = h.copy()
+        threshold, h2 = _solve_threshold(2.0, mdp, h)
+        want, (want_h2, _) = vi_oracle._solve_threshold(2.0, full, (h, full.expected_values(h)))
+        assert threshold == want and np.array_equal(h2, want_h2)
+        assert np.array_equal(h, kept)
 
 
 OFF_STANDARD = {"a0.9_z2": PlantSpec(A=0.9, B=1.0, Z=2.0, Qx=1.0, Qu=0.0),
@@ -171,10 +181,17 @@ class TestPinnedThresholds:
     @pytest.mark.parametrize("spec", [*TWO_HOP_PLANTS, *OFF_STANDARD.values()],
                              ids=["stable", "unstable", *OFF_STANDARD])
     def test_end_value_function_is_even_and_stay_values_cover_the_half(self, spec):
+        """The stay values on the rows before the cut and the send value past it give
+        the full-row iterate: past the cut, staying costs at least as much as sending."""
         mdp = grid_mdp(spec)
-        _, (h, (eh_stay, _)) = _solve_threshold(7.0, mdp)
+        _, h = _solve_threshold(7.0, mdp)
         assert np.array_equal(h, h[::-1])
-        assert eh_stay.shape == (mdp.n // 2 + 1,)
+        send, stay = mdp.backup(h, 7.0)
+        rows = stay.size
+        assert rows == mdp.n // 2 + 1 or (rows % 4 == 0 and rows < mdp.n // 2 + 1)
+        full = mdp.stay_cost + mdp.expected_value(h, mdp.stay)
+        assert np.array_equal(stay, full[:rows])
+        assert np.all(full[rows:] >= send)
 
 
 class TestLookup:
