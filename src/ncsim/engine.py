@@ -219,8 +219,10 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     spst = scenario.slots_per_step
     warmup = int(horizon * WARMUP_FRAC)
 
+    # one pass over the plants: design, threshold row and noise stream per loop
     per_plant = {}  # plant -> (-K, threshold row of the plant's class)
     loops = []  # per loop: (index, a, b, -K, threshold row, Qx, Qu)
+    noise = np.empty((horizon, L))
     for i, p in enumerate(plants):
         if p not in per_plant:
             sol, table = _design(p, tables)
@@ -231,11 +233,8 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
                 row = table.lookup_many(theta * np.arange(horizon + 1)).tolist()
             per_plant[p] = (-sol.k, row)
         loops.append((i, p.a, p.b, *per_plant[p], p.qx, p.qu))
-
-    # one noise stream per loop, one more for scheduler tie-breaks
-    noise = np.empty((horizon, L))
-    for i, p in enumerate(plants):
         noise[:, i] = _loop_rng_seed(scenario.seed, i).normal(0.0, math.sqrt(p.z), horizon)
+    # scheduler tie-breaks draw from a seeded stream of their own
     ties = TieStream(_loop_rng_seed(scenario.seed, _TIE_STREAM).bit_generator)
 
     x = [0.0] * L
@@ -277,9 +276,10 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     cc_push, cc_admit = buffers.cc_push, buffers.cc_admit
 
     for m in range(horizon):
-        if m > 0:
-            w = noise[m - 1].tolist()
-            costed = m - 1 >= warmup
+        # boundary 0 closes a virtual period -1 with no noise and no cost,
+        # which leaves every loop's x, xhat and e at 0.0
+        w = noise[m - 1].tolist() if m else [0.0] * L
+        costed = m - 1 >= warmup
         forced = force_delta[m].tolist() if force_delta is not None else None
         # one pass per loop: close period m-1 (the newest delivery first, then
         # plant, estimator, sampler error and stage cost under the input
@@ -288,31 +288,29 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         u = []
         sampled = []
         for i, ai, bi, neg_k, row, qxi, qui in loops:
-            e = err[i]
-            if m > 0:
-                sample = newest[i]
-                if sample is not None:
-                    newest[i] = None
-                    birth, payload = sample
-                    late = birth < m - 1  # else the sample is the estimate itself
-                    xhat[i] = (estimator_deliver(ai, bi, payload, window(i, birth, m - 1).tolist())
-                               if late else payload)
-                    prune(i, birth)
-                xi = x[i]
-                ui = neg_k * xhat[i]
-                u.append(ui)
-                if costed:
-                    cost_sum[i] += qxi * xi * xi + qui * ui * ui
-                wi = w[i]
-                xi = x[i] = ai * xi + bi * ui + wi
-                xhat[i] = ai * xhat[i] + bi * ui
-                # sampler error: Eq-18 style coast/reset, resynchronized to
-                # the true estimation error whenever a delivery arrived late
-                if sample is None:
-                    e = ai * e + wi
-                else:
-                    e = xi - xhat[i] if late else wi
-                err[i] = e
+            sample = newest[i]
+            if sample is not None:
+                newest[i] = None
+                birth, payload = sample
+                late = birth < m - 1  # else the sample is the estimate itself
+                xhat[i] = (estimator_deliver(ai, bi, payload, window(i, birth, m - 1).tolist())
+                           if late else payload)
+                prune(i, birth)
+            xi = x[i]
+            ui = neg_k * xhat[i]
+            u.append(ui)
+            if costed:
+                cost_sum[i] += qxi * xi * xi + qui * ui * ui
+            wi = w[i]
+            xi = x[i] = ai * xi + bi * ui + wi
+            xhat[i] = ai * xhat[i] + bi * ui
+            # sampler error: Eq-18 style coast/reset, resynchronized to
+            # the true estimation error whenever a delivery arrived late
+            if sample is None:
+                e = ai * err[i] + wi
+            else:
+                e = xi - xhat[i] if late else wi
+            err[i] = e
             if (abs(e) > row[q0[i]]) if forced is None else forced[i]:
                 sampled.append(i)
         if m > 0:
@@ -422,12 +420,8 @@ def _one_sweep_task(args):
     master_seed, L, rep, horizon, theta, tables = args
     scenario = make_two_hop_scenario(L, seed=run_seed(master_seed, L, rep), horizon=horizon)
     metrics = run(scenario, tables, theta=theta)
-    per_metric = {
-        "rate": metrics.class_means(metrics.rate_per_loop),
-        "backlog": metrics.class_means(metrics.backlog_per_loop),
-        "delay": metrics.class_means(metrics.delay_per_loop),
-        "cost": metrics.class_means(metrics.cost_per_loop),
-    }
+    per_metric = {name: metrics.class_means(getattr(metrics, f"{name}_per_loop"))
+                  for name in METRIC_NAMES}
     return per_metric, bool(metrics.diverging.any())
 
 

@@ -173,7 +173,6 @@ class ActionSet:
 @dataclass(frozen=True)
 class ScheduleChoice:
     action: object
-    rates: Mapping
     value: float
 
 
@@ -195,13 +194,13 @@ def wsr_schedule(link_state, link_weights: Mapping, action_set: ActionSet,
                 value += w * rate
         if best_value is None or value > best_value:
             best_value = value
-            best = [(action, rates)]
+            best = [action]
         elif value == best_value:
-            best.append((action, rates))
+            best.append(action)
     if best_value is None:
         raise ValueError("action set is empty")
-    action, rates = best[int(rng.integers(len(best)))] if len(best) > 1 else best[0]
-    return ScheduleChoice(action=action, rates=rates, value=best_value)
+    action = best[int(rng.integers(len(best)))] if len(best) > 1 else best[0]
+    return ScheduleChoice(action=action, value=best_value)
 
 
 def transmit(buffers: BufferSet, assignments: Sequence) -> list:

@@ -153,9 +153,6 @@ class ThresholdTable:
             for line in fh:
                 if not line.endswith("\n"):
                     raise ValueError(f"{path}: truncated last line {line!r}")
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
                 a, b = line.split()
                 lams.append(float(a))
                 thrs.append(float(b))

@@ -119,6 +119,15 @@ class TestParseConfig:
         path.write_text("theta=2\n")
         assert parse_config(["--config", str(path), "--theta", "0.5", "--theta", "0.7"]).theta == 0.7
 
+    def test_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("L=2\nhorizon 2000\n")
+        message = f"{path}:2: expected key=value, got 'horizon 2000'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(["--config", str(path)])
+        assert main(["--config", str(path)]) == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+
     def test_non_finite_theta_names_field(self):
         for value in ("nan", "inf", "-inf", "0", "-1"):
             with pytest.raises(ConfigError, match="^theta must be positive and finite, got "):
@@ -213,7 +222,7 @@ class TestRunExperiment:
         assert any("table cache hit" in m for m in messages)
 
     @pytest.mark.parametrize("damage", ["cut after a lambda", "cut in the last threshold",
-                                        "nan threshold"])
+                                        "nan threshold", "blank line"])
     def test_damaged_cache_file_is_rebuilt(self, tmp_path, damage):
         cold = tiny_cfg(tmp_path)
         assert run_experiment(cold, log=lambda *a: None) == EXIT_OK
@@ -223,6 +232,8 @@ class TestRunExperiment:
             path.write_bytes(good[:good.index(b" ", len(good) // 2)])
         elif damage == "cut in the last threshold":  # every lambda knot is still there
             path.write_bytes(good[:-4])
+        elif damage == "blank line":  # load takes no line but two numbers under the header
+            path.write_bytes(good.replace(b"\n", b"\n\n", 1))
         else:  # the threshold at lambda = 1, which a price theta * B can hit at L=2
             lines = good.decode().splitlines(keepends=True)
             assert lines[3].split()[0] == "1"

@@ -297,6 +297,21 @@ class TestRun:
             assert not run(sc, tables, theta=0.8).diverging.any()
             assert run(sc, tables, theta=0.6).diverging.any()
 
+    def test_cost_at_theta_08_exceeds_twice_the_cost_at_theta_2(self, tables):
+        """At L=44 the price scale theta=0.8 costs well over twice theta=2.
+
+        A fact about the model, not a bound on noise: the all-loop cost ratio
+        was 6.43/2.38 = 2.70 at seed 0 and 7.26/2.40 = 3.03 at seed 1, a margin
+        of at least 35% over the factor 2 asserted.  A model change that
+        flips the ordering must say so.
+        """
+        for seed in (0, 1):
+            cost = {}
+            for theta in (0.8, 2.0):
+                m = run(make_two_hop_scenario(44, seed=seed, horizon=2000), tables, theta=theta)
+                cost[theta] = m.class_means(m.cost_per_loop)["all"]
+            assert cost[0.8] > 2 * cost[2.0], (seed, cost)
+
     def test_class_symmetry_under_relabeling(self, tables):
         # swapping same-class loop entries leaves every aggregate unchanged
         sc1 = make_two_hop_scenario(4, seed=9, horizon=1000)

@@ -93,6 +93,12 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             build_table([1.0, 2.0], *stable)
 
+    @pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    def test_grid_must_be_strictly_ascending(self, stable, grid, monkeypatch):
+        monkeypatch.setattr(sampler, "_solve_threshold", no_solve)
+        with pytest.raises(ValueError, match="^lambda grid must be strictly ascending$"):
+            build_table(grid, *stable)
+
     @pytest.mark.parametrize("grid", [[0.0, math.nan], [0.0, 1.0, math.inf],
                                       [0.0, math.inf, math.inf], [-math.inf, 0.0]])
     def test_non_finite_price_rejected_before_any_solve(self, stable, grid, monkeypatch):
@@ -306,6 +312,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated"):
             ThresholdTable.load(path)
 
+    @pytest.mark.parametrize("line", ["\n", "# a comment\n"])
+    def test_rejects_a_line_that_is_not_two_numbers(self, tmp_path, stable, line):
+        path = tmp_path / "t.txt"
+        build_table([0.0, 1.0, 10.0], *stable).save(path)
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(f"{header}\n{line}{rest}")
+        with pytest.raises(ValueError):
+            ThresholdTable.load(path)
+
 
 class TestPlantClassId:
     def test_standard_ids(self, stable, unstable):
@@ -327,6 +342,15 @@ class TestThresholdTableInvariants:
         with pytest.raises(ValueError):
             ThresholdTable(lambdas=np.array([1.0, 0.0]),
                            thresholds=np.array([0.0, 1.0]), class_id="x")
+
+    @pytest.mark.parametrize("lambdas, thresholds, message", [
+        ([0.0, 1.0], [0.0], "matching 1-D arrays"), ([], [], "matching 1-D arrays"),
+        ([[0.0, 1.0]], [[0.0, 1.0]], "matching 1-D arrays"),
+        ([-1.0, 1.0], [0.0, 1.0], "prices must be non-negative")])
+    def test_malformed_knots_rejected(self, lambdas, thresholds, message):
+        with pytest.raises(ValueError, match=message):
+            ThresholdTable(lambdas=np.array(lambdas), thresholds=np.array(thresholds),
+                           class_id="x")
 
     @pytest.mark.parametrize("lambdas, thresholds", [
         ([0.0, 1.0, 2.0], [0.0, math.nan, 2.0]), ([0.0, 1.0, 2.0], [0.0, 1.0, math.inf]),
