@@ -1,12 +1,12 @@
 """Slotted co-simulation of control loops over a back-pressure network.
 
 Each control period spans `slots_per_step` network slots.  At a period
-boundary `run` makes one pass over the loops in Python floats: each loop
-closes the previous period (the input from its estimate, corrected by its
-newest delivery, then the plant, estimator, sampler-error and stage-cost
-updates) and decides whether to sample, |e| > M(theta * B), against its
-source backlog B.  M is read from one row per plant class, tabulated once
-per run by backlog.  A delivery born in the period just closed is the
+boundary `run` makes one pass per plant class, its constants bound once,
+over the class's loops in Python floats: each loop closes the previous
+period (the input from its estimate, corrected by its newest delivery, then
+the plant, estimator, sampler-error and stage-cost updates), decides whether
+to sample, |e| > M(theta * B) at its source backlog B, M from the class's
+row, and injects at once.  A delivery born in the period just closed is the
 estimate itself; only a late one is rolled forward (`estimator_deliver`).
 Then the period's slots run, the scheduler picking links by differential
 backlog and moving packets, until the network drains: nothing enters it
@@ -219,20 +219,19 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     spst = scenario.slots_per_step
     warmup = int(horizon * WARMUP_FRAC)
 
-    # one pass over the plants: design, threshold row and noise stream per loop
-    per_plant = {}  # plant -> (-K, threshold row of the plant's class)
-    loops = []  # per loop: (index, a, b, -K, threshold row, Qx, Qu)
+    # one pass over the plants: each class's design, threshold row and loops, each loop's noise
+    classes = {}  # plant -> (a, b, -K, threshold row, Qx, Qu, loops in ascending order)
     noise = np.empty((horizon, L))
     for i, p in enumerate(plants):
-        if p not in per_plant:
+        if p not in classes:
             sol, table = _design(p, tables)
             # M(theta * B) for every source backlog B a run can reach: a source
             # holds at most one packet per elapsed period; a price past the
             # float range is inf, which the lookup clamps to the top knot
             with np.errstate(over="ignore"):
                 row = table.lookup_many(theta * np.arange(horizon + 1)).tolist()
-            per_plant[p] = (-sol.k, row)
-        loops.append((i, p.a, p.b, *per_plant[p], p.qx, p.qu))
+            classes[p] = (p.a, p.b, -sol.k, row, p.qx, p.qu, [])
+        classes[p][-1].append(i)
         noise[:, i] = _loop_rng_seed(scenario.seed, i).normal(0.0, math.sqrt(p.z), horizon)
     # scheduler tie-breaks draw from a seeded stream of their own
     ties = TieStream(_loop_rng_seed(scenario.seed, _TIE_STREAM).bit_generator)
@@ -275,63 +274,63 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     window, prune, record = input_log.window, input_log.prune, input_log.record
     cc_push, cc_admit = buffers.cc_push, buffers.cc_admit
 
+    u = [0.0] * L  # the inputs of the period being closed, by loop
     for m in range(horizon):
         # boundary 0 closes a virtual period -1 with no noise and no cost,
         # which leaves every loop's x, xhat and e at 0.0
         w = noise[m - 1].tolist() if m else [0.0] * L
         costed = m - 1 >= warmup
         forced = force_delta[m].tolist() if force_delta is not None else None
-        # one pass per loop: close period m-1 (the newest delivery first, then
-        # plant, estimator, sampler error and stage cost under the input
-        # u = -K xhat), then decide at step m against the instantaneous
-        # source backlog
-        u = []
-        sampled = []
-        for i, ai, bi, neg_k, row, qxi, qui in loops:
-            sample = newest[i]
-            if sample is not None:
-                newest[i] = None
-                birth, payload = sample
-                late = birth < m - 1  # else the sample is the estimate itself
-                xhat[i] = (estimator_deliver(ai, bi, payload, window(i, birth, m - 1).tolist())
-                           if late else payload)
-                prune(i, birth)
-            xi = x[i]
-            ui = neg_k * xhat[i]
-            u.append(ui)
-            if costed:
-                cost_sum[i] += qxi * xi * xi + qui * ui * ui
-            wi = w[i]
-            xi = x[i] = ai * xi + bi * ui + wi
-            xhat[i] = ai * xhat[i] + bi * ui
-            # sampler error: Eq-18 style coast/reset, resynchronized to
-            # the true estimation error whenever a delivery arrived late
-            if sample is None:
-                e = ai * err[i] + wi
-            else:
-                e = xi - xhat[i] if late else wi
-            err[i] = e
-            if (abs(e) > row[q0[i]]) if forced is None else forced[i]:
-                sampled.append(i)
-        if m > 0:
-            record(m - 1, u)
-            if record_errors:
-                error_trace[m - 1] = err
+        # read before any injection: the source backlogs' half sums, the samples in flight
         if m < half:
             first_half = list(map(add, first_half, q0))
         elif m >= horizon - half:
             second_half = list(map(add, second_half, q0))
-        if record_errors:
-            delta_trace[m, sampled] = 1
+        inflight_sum += injected_total - delivered_total
         first_slot = m * spst
         remaining = total_slots - max(first_slot, warmup_slot)
-        inflight_sum += injected_total - delivered_total
-        for i in sampled:
-            inflight[i].append((m, x[i]))
-            cc_push(i)
-            backlog_acc[i] += cc_admit(i) * remaining
-            if m >= warmup:
-                injected[i] += 1
+        # one pass per plant class over its loops: close period m-1 (the
+        # newest delivery first, then plant, estimator, sampler error and
+        # stage cost under the input u = -K xhat), decide at step m against
+        # the instantaneous source backlog, and inject a sample at once
+        sampled = []
+        for ai, bi, neg_k, row, qxi, qui, members in classes.values():
+            for i in members:
+                sample = newest[i]
+                if sample is not None:
+                    newest[i] = None
+                    birth, payload = sample
+                    late = birth < m - 1  # else the sample is the estimate itself
+                    xhat[i] = (estimator_deliver(ai, bi, payload, window(i, birth, m - 1).tolist())
+                               if late else payload)
+                    prune(i, birth)
+                xi = x[i]
+                ui = u[i] = neg_k * xhat[i]
+                if costed:
+                    cost_sum[i] += qxi * xi * xi + qui * ui * ui
+                wi = w[i]
+                xi = x[i] = ai * xi + bi * ui + wi
+                xhat[i] = ai * xhat[i] + bi * ui
+                # sampler error: Eq-18 style coast/reset, resynchronized to
+                # the true estimation error whenever a delivery arrived late
+                if sample is None:
+                    e = ai * err[i] + wi
+                else:
+                    e = xi - xhat[i] if late else wi
+                err[i] = e
+                if (abs(e) > row[q0[i]]) if forced is None else forced[i]:
+                    sampled.append(i)
+                    inflight[i].append((m, xi))
+                    cc_push(i)
+                    backlog_acc[i] += cc_admit(i) * remaining
+                    if m >= warmup:
+                        injected[i] += 1
+        if m > 0:
+            record(m - 1, u)
+            if record_errors:
+                error_trace[m - 1] = err
+        if record_errors:
+            delta_trace[m, sampled] = 1
         injected_total += len(sampled)
 
         # back-pressure slots: pick per-hop winners by weight, move packets;

@@ -62,7 +62,7 @@ class ValueIterationError(RuntimeError):
 
 
 class ThresholdStructureError(RuntimeError):
-    """The optimal policy was not of threshold form (grid too coarse)."""
+    """The optimal policy was not of threshold form (grid too coarse) or hit the grid's edge."""
 
 
 class ViConfig:
@@ -164,6 +164,7 @@ class _ErrorGridMdp:
 
     def __init__(self, a: float, qe: float, z: float, cfg: ViConfig):
         self.cfg = cfg
+        self.params = a, qe, z
         half = int(round(cfg.e_max / cfg.e_step))
         self.grid = (np.arange(-half, half + 1)) * cfg.e_step
         self.n = self.grid.size
@@ -263,6 +264,12 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, h: np.ndarray | None = None
     if not half[first:].all():
         raise ThresholdStructureError(f"policy at lambda={lam:g} is not threshold-form; "
                                       "refine the grid")
+    # a threshold at the edge is the clamped grid's; never sampling is exact only if qe = 0
+    a, qe, z = mdp.params
+    if first >= mdp.stay_cost.size - 1 and qe > 0:
+        raise ThresholdStructureError(f"threshold at lambda={lam:g} reaches the grid's edge "
+                                      f"e_max={cfg.e_max:g} for the class a={a:g}, "
+                                      f"weight*qe={qe:g}, z={z:g}")
     if first < mdp.stay_cost.size:
         return float(mdp.grid[mdp.mid + first]), h
     return float(cfg.e_max), h

@@ -50,6 +50,9 @@ def test_random_scenarios(tables, scenario, theta, forced):
         options = dict(record_errors=True,
                        force_delta=rng.random((scenario.horizon, len(scenario.plants))) < forced)
     m = assert_parity(scenario, tables, theta=theta, check_conservation=True, **options)
+    if forced is not None:  # the traced samples past warm-up are the injected tally
+        warmup = int(scenario.horizon * engine.WARMUP_FRAC)
+        assert np.array_equal(m.delta_trace[warmup:].sum(axis=0), m.injected)
     for births in m.delivered_births:
         assert births == sorted(births)
     for values in (m.rate_per_loop, m.backlog_per_loop, m.cost_per_loop):

@@ -12,9 +12,9 @@ import vi_oracle
 from ncsim import sampler
 from ncsim.control import PlantSpec, design_lqg
 from ncsim.engine import TWO_HOP_PLANTS, make_two_hop_scenario, run
-from ncsim.sampler import (ThresholdTable, ValueIterationError, ViConfig, _class_params,
-                           _ErrorGridMdp, _solve_threshold, build_table, default_lambda_grid,
-                           design_threshold, plant_class_id)
+from ncsim.sampler import (ThresholdStructureError, ThresholdTable, ValueIterationError,
+                           ViConfig, _class_params, _ErrorGridMdp, _solve_threshold,
+                           build_table, default_lambda_grid, design_threshold, plant_class_id)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,27 @@ class TestDesignThreshold:
         monkeypatch.setattr(ViConfig, "max_iter", 2)
         with pytest.raises(ValueIterationError, match="after 2 iterations"):
             design_threshold(50.0, *stable)
+
+    @pytest.mark.parametrize("lam", [500.0, 1000.0])
+    def test_threshold_at_the_grid_edge_raises(self, lam):
+        # Z = 100 spreads the errors past e_max = 25; the grid's clamp would return 25.0
+        spec = PlantSpec(A=0.75, B=1.0, Z=100.0, Qx=1.0, Qu=0.0)
+        with pytest.raises(ThresholdStructureError,
+                           match=rf"^threshold at lambda={lam:g} reaches the grid's edge e_max=25 "
+                                 r"for the class a=0.75, weight\*qe=0.5625, z=100$"):
+            design_threshold(lam, spec, design_lqg(spec))
+
+    @pytest.mark.parametrize("lam, expected", [(100.0, 15.55), (300.0, 23.95)])
+    def test_threshold_inside_the_grid_is_returned(self, lam, expected):
+        spec = PlantSpec(A=0.75, B=1.0, Z=100.0, Qx=1.0, Qu=0.0)
+        assert design_threshold(lam, spec, design_lqg(spec)) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", [PlantSpec(A=0.0, B=1.0, Z=1.0, Qx=1.0, Qu=0.0),
+                                      PlantSpec(A=0.75, B=1.0, Z=1.0, Qx=1.0, Qu=0.0, weight=0.0)])
+    def test_class_whose_errors_cost_nothing_never_samples_at_a_price(self, spec):
+        sol = design_lqg(spec)
+        assert design_threshold(1.0, spec, sol) == ViConfig.e_max
+        assert design_threshold(0.0, spec, sol) == 0.0
 
 
 class TestBuildTable:
