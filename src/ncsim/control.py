@@ -3,11 +3,17 @@
 A loop is x[k+1] = a x[k] + b u[k] + w[k] with w ~ N(0, z) i.i.d. and stage
 cost qx x^2 + qu u^2, running under certainty-equivalence control
 u = -k xhat.  The gain comes from the stationary solution p of the scalar
-discrete Riccati equation, iterated from p = qx as
+discrete Riccati equation p = qx + a^2 p - (a b p)^2 / (qu + b^2 p), which
+times qu + b^2 p is b^2 p^2 - c p - qx qu = 0, c = qx b^2 - qu (1 - a^2).
+`solve_riccati` takes its larger, stabilising root (Bertsekas, Dynamic
+Programming and Optimal Control I, Sec. 4.1) in closed form, with
+d = hypot(c, 2 |b| sqrt(qx qu)) and no cancellation:
 
-    g = b p / (qu + b p b),    p <- qx + a (p - p b g) a,
+    p = (c + d) / (2 b^2) if c >= 0,    p = 2 qx qu / (d - c) if c < 0;
 
-and then
+qu = 0 gives p = qx exactly and b = 0 gives p = qx / (1 - a^2).  At qx = 0
+the roots are 0 and qu (a^2 - 1) / b^2: p = 0 and k = 0 for |a| <= 1, else
+the gain that moves the pole to 1/a.  Then
 
     s = qu + b p b,    k = b p a / s,    qe = k s k,
 
@@ -25,16 +31,18 @@ roll-forward is `estimator_deliver`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-RICCATI_TOL = 1e-9
-RICCATI_MAX_ITER = 1_000_000
-
 
 class RiccatiDivergenceError(RuntimeError):
-    """Fixed-point iteration went non-finite or failed to reach tolerance within the cap."""
+    """The plant has no finite stationary Riccati solution p.
+
+    Either b = 0 with |a| >= 1 and qx > 0, a costed mode that the input
+    cannot act on and that does not decay, or the root overflows.
+    """
 
 
 class ReplayError(RuntimeError):
@@ -42,11 +50,21 @@ class ReplayError(RuntimeError):
 
 
 def _number(value, name: str, signed: bool) -> float:
-    """`value` as one finite float, non-negative unless `signed`; else ValueError naming `name`."""
+    """`value` as one finite float, non-negative unless `signed`; else ValueError naming `name`.
+
+    A real value of any number type, or a one-element integer or float array,
+    is a number; a string, bytes, a bool or None is not, even where NumPy
+    would convert it.
+    """
+    x = None
     try:
-        x = np.asarray(value, dtype=float).item()  # ValueError unless exactly one element
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be one number, got {value!r}") from None
+        array = np.asarray(value)
+        if array.dtype.kind in "iuf" or isinstance(value, numbers.Number) and not isinstance(value, bool):
+            x = float(array.item())
+    except (TypeError, ValueError, OverflowError):  # ragged, not one element, an int past floats
+        pass
+    if x is None:
+        raise ValueError(f"{name} must be one number, got {value!r}")
     if not math.isfinite(x) or (x < 0 and not signed):
         raise ValueError(f"{name} must be {'' if signed else 'non-negative and '}finite, got {x!r}")
     return x
@@ -94,7 +112,7 @@ class PlantSpec:
 
 @dataclass(frozen=True)
 class LqgSolution:
-    """Riccati fixed point p, optimal gain k, error weight qe, cost floor p z.
+    """Riccati solution p, optimal gain k, error weight qe, cost floor p z.
 
     P, K and Qe hold p, k and qe as read-only 1 x 1 arrays.
     """
@@ -113,32 +131,31 @@ class LqgSolution:
 
 
 def solve_riccati(spec: PlantSpec) -> np.ndarray:
-    """Stationary p, as a 1 x 1 array, by fixed-point iteration from p = qx.
+    """Stationary p, as a 1 x 1 array: the stabilising root in closed form (module docstring).
 
-    Raises RiccatiDivergenceError at the first non-finite iterate or if
-    |p' - p| stays above RICCATI_TOL for RICCATI_MAX_ITER iterations, and
-    ValueError if qu + b p b is zero along the way, where the gain is
-    undefined.
+    Raises ValueError where b = qu = 0, as the gain is undefined there, and
+    RiccatiDivergenceError naming the plant where b = 0, |a| >= 1 and qx > 0,
+    or where p overflows.
     """
     a, b, qx, qu = spec.a, spec.b, spec.qx, spec.qu
-    p = qx
-    for it in range(RICCATI_MAX_ITER):
-        btp = b * p
-        try:
-            g = btp / (qu + btp * b)
-        except ZeroDivisionError:
-            raise _undefined_gain(spec) from None
-        p_next = qx + a * (p - p * b * g) * a
-        if abs(p_next - p) <= RICCATI_TOL:
-            return _as_1x1(p_next)
-        if not math.isfinite(p_next):
-            raise RiccatiDivergenceError(
-                f"Riccati iterate is not finite after {it + 1} iterations for A={a!r}, B={b!r}")
-        p = p_next
-    raise RiccatiDivergenceError(
-        f"Riccati iteration did not converge within {RICCATI_MAX_ITER} iterations "
-        f"for A={a!r}, B={b!r}"
-    )
+    if not b:
+        if not qu:
+            raise _undefined_gain(spec)
+        if qx and abs(a) >= 1:
+            raise RiccatiDivergenceError(f"Riccati equation has no finite solution for A={a!r}, "
+                                         f"B={b!r}: |A| >= 1 and the input cannot act")
+        p = qx / (1 - a * a) if qx else 0.0  # a state that costs nothing needs no input
+    elif not qu:
+        p = qx
+    else:
+        c = qx * b * b - qu * (1 - a * a)
+        d = math.hypot(c, 2 * abs(b) * math.sqrt(qx) * math.sqrt(qu))
+        # divided by b twice, as b * b may underflow where p does not
+        p = (c + d) / (2 * b) / b if c >= 0 else 2 * qx * (qu / (d - c))
+    if not math.isfinite(p):
+        raise RiccatiDivergenceError(f"Riccati solution overflows for A={a!r}, B={b!r}, "
+                                     f"Qx={qx!r}, Qu={qu!r}")
+    return _as_1x1(p)
 
 
 def _undefined_gain(spec: PlantSpec) -> ValueError:
@@ -147,7 +164,7 @@ def _undefined_gain(spec: PlantSpec) -> ValueError:
 
 
 def design_lqg(spec: PlantSpec) -> LqgSolution:
-    """Riccati fixed point p, gain k = b p a / (qu + b p b), error weight qe, cost floor p z.
+    """Riccati solution p, gain k = b p a / (qu + b p b), error weight qe, cost floor p z.
 
     Raises ValueError if qu + b p b is zero, where the gain is undefined, and
     if k, qe or p z overflows, naming the plant either way.

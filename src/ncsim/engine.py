@@ -146,6 +146,7 @@ class RunMetrics:
     inflight_sum: int  # samples in flight before injection, summed over all boundaries
     noise: np.ndarray | None = None
     error_trace: np.ndarray | None = None
+    input_trace: np.ndarray | None = None  # u per period and loop; the last period is never closed
     delta_trace: np.ndarray | None = None
     delivered_births: list | None = None
 
@@ -257,6 +258,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     half = horizon // 2
     first_half, second_half = [0] * L, [0] * L
     error_trace = np.zeros((horizon, L)) if record_errors else None
+    input_trace = np.zeros((horizon, L)) if record_errors else None
     delta_trace = np.zeros((horizon, L), dtype=np.int8) if record_errors else None
     delivered_births = [[] for _ in range(L)] if check_conservation else None
     injected_total = 0
@@ -329,6 +331,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
             record(m - 1, u)
             if record_errors:
                 error_trace[m - 1] = err
+                input_trace[m - 1] = u
         if record_errors:
             delta_trace[m, sampled] = 1
         injected_total += len(sampled)
@@ -382,7 +385,7 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         slots_backlog=total_slots - warmup_slot,
         diverging=diverging, inflight_sum=inflight_sum,
         noise=noise if record_errors else None,
-        error_trace=error_trace, delta_trace=delta_trace,
+        error_trace=error_trace, input_trace=input_trace, delta_trace=delta_trace,
         delivered_births=delivered_births,
     )
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsim import control
 from ncsim.control import (InputLog, PlantSpec, ReplayError,
                            RiccatiDivergenceError, design_lqg,
                            estimator_deliver, solve_riccati)
@@ -48,20 +47,68 @@ class TestRiccati:
             rhs = qx + a * a * p - (a * b * p) ** 2 / (qu + b * b * p)
             assert abs(p - rhs) <= 1e-9
 
-    def test_divergence_error_names_spec(self, monkeypatch):
-        # unstable and uncontrollable: B = 0
-        spec = PlantSpec(A=2.0, B=0.0, Z=1.0, Qx=1.0, Qu=1.0)
-        monkeypatch.setattr(control, "RICCATI_MAX_ITER", 500)
-        with pytest.raises(RiccatiDivergenceError, match="within 500 iterations for A="):
+    def test_divergence_error_names_spec(self):
+        # no input channel and a costed mode that does not decay: no finite p
+        for a in (2.0, 1.0, -1.0):
+            spec = PlantSpec(A=a, B=0.0, Z=1.0, Qx=1.0, Qu=1.0)
+            start = time.perf_counter()
+            with pytest.raises(RiccatiDivergenceError,
+                               match=re.escape(f"no finite solution for A={a!r}, B=0.0: |A| >= 1")):
+                solve_riccati(spec)
+            assert time.perf_counter() - start < 0.05
+
+    def test_overflowing_solution_raises_at_once(self):
+        # p ~ qu a^2 / b^2 = 1e400 is past the float range
+        spec = PlantSpec(A=1e200, B=1.0, Z=1.0, Qx=1.0, Qu=1.0)
+        with pytest.raises(RiccatiDivergenceError, match=re.escape(
+                "Riccati solution overflows for A=1e+200, B=1.0, Qx=1.0, Qu=1.0")):
             solve_riccati(spec)
 
-    def test_non_finite_iterate_raises_at_once(self):
-        # p grows as 4^k, overflows after ~510 iterations and would then stay
-        # nan until the 10^6-iteration cap
-        spec = PlantSpec(A=2.0, B=0.0, Z=1.0, Qx=1.0, Qu=1.0)
-        with pytest.raises(RiccatiDivergenceError,
-                           match=r"not finite after 5\d\d iterations for A=2.0"):
-            solve_riccati(spec)
+    def test_tiny_state_weight(self):
+        # the root is sqrt(qx qu) / |b| + qx / 2 + ...; an absolute tolerance of 1e-9 misses it
+        p = solve_riccati(scalar_spec(1.0, qx=1e-12, qu=1.0))[0, 0]
+        assert p == pytest.approx(1.0000005000001248e-6, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("a, p, k", [(1.25, 0.5625, 0.45), (0.75, 0.0, 0.0)])
+    def test_zero_state_weight_takes_the_stabilising_root(self, a, p, k):
+        # the roots are 0 and qu (a^2 - 1) / b^2; the larger moves an unstable pole to 1 / a
+        sol = design_lqg(scalar_spec(a, qx=0.0, qu=1.0))
+        assert sol.p == pytest.approx(p, rel=1e-15, abs=0)
+        assert sol.k == pytest.approx(k, rel=1e-15, abs=0)
+        assert abs(a - sol.k) == pytest.approx(min(abs(a), 1 / abs(a)), rel=1e-15)
+
+    def test_plant_below_the_float_spacing_of_p_returns_at_once(self):
+        # p ~ 2.5e7, whose float spacing is ~4e-9, so no iterate came within 1e-9
+        a, b, qx, qu = 1.7633340824605739, 0.00864024281804987, 12.831935787995521, 881.5401626545174
+        start = time.perf_counter()
+        sol = design_lqg(PlantSpec(A=a, B=b, Z=1.0, Qx=qx, Qu=qu))
+        assert time.perf_counter() - start < 0.05
+        assert sol.p == pytest.approx(qx + a * a * sol.p * qu / (qu + b * b * sol.p), rel=1e-14)
+        assert abs(a - b * sol.k) < 1
+
+    @pytest.mark.parametrize("a", [0.5, -0.9])
+    def test_no_input_channel_with_a_decaying_mode(self, a):
+        sol = design_lqg(PlantSpec(A=a, B=0.0, Z=1.0, Qx=2.0, Qu=1.0))
+        assert sol.p == pytest.approx(2.0 / (1 - a * a), rel=1e-15) and sol.k == 0.0
+
+    @pytest.mark.parametrize("a", [1.0, 3.0])
+    def test_no_input_channel_and_no_state_cost(self, a):
+        sol = design_lqg(PlantSpec(A=a, B=0.0, Z=1.0, Qx=0.0, Qu=1.0))
+        assert sol.p == 0.0 and sol.k == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-4.0, 4.0), b=st.floats(1e-3, 10.0), sign=st.sampled_from([-1.0, 1.0]),
+       qx=st.floats(1e-6, 1e3), qu=st.floats(0.0, 1e3))
+def test_riccati_residual_and_closed_loop(a, b, sign, qx, qu):
+    """Over a in [-4, 4], |b| in [1e-3, 10], qx in [1e-6, 1e3], qu in [0, 1e3]:
+    p solves p = qx + a^2 p qu / (qu + b^2 p), the Riccati equation in a form
+    with no cancellation, to 1e-12 relative, and the closed loop is stable."""
+    b *= sign
+    sol = design_lqg(PlantSpec(A=a, B=b, Z=1.0, Qx=qx, Qu=qu))
+    rhs = qx + a * a * sol.p * qu / (qu + b * b * sol.p)
+    assert abs(sol.p - rhs) <= 1e-12 * sol.p
+    assert abs(a - b * sol.k) < 1
 
 
 class TestGain:
@@ -251,6 +298,15 @@ class TestPlantSpecValidation:
         with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
             PlantSpec(**fields)
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("value", ["0.75", b"1", True, np.True_, None, ["0.75"]])
+    @pytest.mark.parametrize("name", ["A", "Qu", "weight"])
+    def test_non_numbers_rejected_as_given(self, name, value):
+        # NumPy would turn a string, bytes or a bool into a float, and None into nan
+        fields = dict(A=0.75, B=1.0, Z=1.0, Qx=1.0, Qu=0.0, weight=1.0)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be one number, got {re.escape(repr(value))}$"):
+            PlantSpec(**fields)
 
     def test_one_element_arrays_are_numbers(self):
         spec = PlantSpec(A=np.array([[0.75]]), B=np.array([1.0]), Z=1, Qx=1.0, Qu=0.0)

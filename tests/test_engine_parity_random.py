@@ -10,7 +10,8 @@ cost, a rate of at most one per period, and a delay that is NaN exactly
 where nothing was delivered and non-negative elsewhere.  On the same
 scenarios, every slot moves at most its hops' capacities and lists its
 picks in hop order, and the in-flight count summed over the boundaries
-obeys Little's identity.
+obeys Little's identity, and in the traced cases each loop's cost obeys
+the LQG cost identity (`test_cost_identity`).
 """
 
 from collections import Counter
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from ncsim import engine
 from ncsim.engine import TWO_HOP_PLANTS, Scenario, make_two_hop_scenario, run
+from test_cost_identity import assert_cost_identity
 from test_engine_parity import assert_parity
 
 
@@ -53,6 +55,7 @@ def test_random_scenarios(tables, scenario, theta, forced):
     if forced is not None:  # the traced samples past warm-up are the injected tally
         warmup = int(scenario.horizon * engine.WARMUP_FRAC)
         assert np.array_equal(m.delta_trace[warmup:].sum(axis=0), m.injected)
+        assert_cost_identity(scenario, m)
     for births in m.delivered_births:
         assert births == sorted(births)
     for values in (m.rate_per_loop, m.backlog_per_loop, m.cost_per_loop):
