@@ -222,6 +222,10 @@ class InputLog:
             raise ReplayError(f"input history ends at {self._next}, need {stop}")
         return self._u[loop, start:stop]
 
+    def applied(self, loop: int) -> np.ndarray:
+        """The loop's inputs of every step recorded so far, pruned ones included."""
+        return self._u[loop, :self._next]
+
     def prune(self, loop: int, keep_from: int) -> None:
         if keep_from > self._base[loop]:
             self._base[loop] = keep_from

@@ -197,6 +197,25 @@ def _design(plant: PlantSpec, tables: dict):
     return sol, tables[cid]
 
 
+def _first_non_finite_step(plant: PlantSpec, warmup: int, inputs: list, noise: list) -> int:
+    """The first step at which the loop's state, stage cost or cost sum is not finite.
+
+    Rebuilt after the fact from the inputs the run applied and its noise, with
+    the boundary pass's arithmetic; if every closed period is finite, it is the
+    final state's step, len(inputs).
+    """
+    a, b, qx, qu = plant.a, plant.b, plant.qx, plant.qu
+    x = total = 0.0
+    for k, (u, w) in enumerate(zip(inputs, noise)):
+        cost = qx * x * x + qu * u * u
+        if k >= warmup:
+            total += cost
+        if not (math.isfinite(x) and math.isfinite(cost) and math.isfinite(total)):
+            return k
+        x = a * x + b * u + w
+    return len(inputs)
+
+
 def run(scenario: Scenario, tables: dict, theta: float = 1.0,
         force_delta: np.ndarray | None = None, record_errors: bool = False,
         check_conservation: bool = False) -> RunMetrics:
@@ -205,9 +224,9 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     `tables` maps plant class ids to ThresholdTable.  `force_delta`, when
     given as (horizon, L) booleans (an array or nested lists), overrides the
     threshold sampler (used by oracle tests); any other shape is a
-    ValueError.  Raises NonFiniteError, naming the loops, if a plant state or
-    cost overflowed; loop state is Python floats, which overflow to inf and
-    nan without a warning.
+    ValueError.  Raises NonFiniteError, naming the loops and each one's first
+    non-finite step, if a plant state or cost overflowed; loop state is Python
+    floats, which overflow to inf and nan without a warning.
     """
     _check_theta(theta)
     plants = scenario.plants
@@ -372,8 +391,10 @@ def run(scenario: Scenario, tables: dict, theta: float = 1.0,
     overflowed = [i for i, (c, xi) in enumerate(zip(cost_sum, x))
                   if not (math.isfinite(c) and math.isfinite(xi))]
     if overflowed:
-        raise NonFiniteError(f"plant state or cost is not finite on loops "
-                             f"{overflowed} (seed {scenario.seed})")
+        steps = [_first_non_finite_step(plants[i], warmup, input_log.applied(i).tolist(),
+                                        noise[:, i].tolist()) for i in overflowed]
+        raise NonFiniteError(f"plant state or cost is not finite on loops {overflowed} "
+                             f"(seed {scenario.seed}), first at steps {steps}")
     diverging = stability_diagnostic(first_half, second_half)
     return RunMetrics(
         class_labels=list(scenario.class_labels),
@@ -456,10 +477,33 @@ def _check_sweep_args(L_values, replications, master_seed, horizon, theta, worke
     _check_count(workers, "workers", 1)
 
 
+def _t975(dof: int) -> float:
+    """Student's t quantile t(0.975, dof), the t with P(|T| <= t) = 0.95, by bisection.
+
+    With theta = atan(t / sqrt(dof)), P(|T| <= t) is a finite series in cos^2 theta
+    for an integer dof (Abramowitz & Stegun 26.7.3-4), increasing in theta.
+    """
+    odd = dof % 2
+
+    def coverage(theta):
+        c2, term, total = math.cos(theta) ** 2, 1.0, 0.0
+        for j in range(dof // 2):
+            total += term
+            term *= c2 * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+        if odd:
+            return (theta + math.sin(theta) * math.cos(theta) * total) * 2 / math.pi
+        return math.sin(theta) * total
+
+    lo, hi = 0.0, math.pi / 2
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if coverage(mid) < 0.95 else (lo, mid)
+    return math.sqrt(dof) * math.tan(hi)
+
+
 def sweep(L_values, replications: int, master_seed: int, tables: dict,
           horizon: int = 10_000, theta: float = 1.0, workers: int = 1,
           progress=None) -> SweepResult:
-    """Independent seeded runs for every (L, replication), then normal CIs.
+    """Independent seeded runs for every (L, replication), then Student-t CIs.
 
     Checks `L_values`, the counts, `theta` and that `tables` has both plant classes before
     any run or pool.  Uses at most `workers` processes, no more than tasks or usable CPUs;
@@ -475,6 +519,7 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
     # CPUs only contend for them
     workers = min(workers, len(tasks), usable_cpus())
     result = SweepResult(L_values=L_values)
+    t = _t975(replications - 1) if replications > 1 else math.nan
     with _pool(workers) if workers > 1 else nullcontext() as pool:
         # read in task order as runs finish, so each L is reported once its own runs are in
         raw = pool.map(_one_sweep_task, tasks) if pool else map(_one_sweep_task, tasks)
@@ -488,7 +533,7 @@ def sweep(L_values, replications: int, master_seed: int, tables: dict,
                 for cls in result.class_order:
                     vals = np.array([row[metric][cls] for row in rows])
                     n = vals.size
-                    ci = 1.96 * vals.std(ddof=1) / math.sqrt(n) if n > 1 else math.nan
+                    ci = t * vals.std(ddof=1) / math.sqrt(n) if n > 1 else math.nan
                     result.metrics[(L, cls, metric)] = SweepCell(
                         mean=float(vals.mean()), ci95=float(ci), n=n)
             if progress is not None:

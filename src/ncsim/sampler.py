@@ -17,8 +17,8 @@ error (1-delta)*Qe*e^2 instead yields thresholds 15-25% away from the
 published curves; this timing reproduces them to within ~2%.)
 
 The noise is symmetric and the cost even in e, so the relative value
-function h is even: the iteration computes its values on the half e >= 0
-only and mirrors them into the full grid that E[h(e')] interpolates on.
+function h is even: the grid, h and every iterate hold the half e >= 0 only,
+and E[h(e')] interpolates on [-e_max, e_max] with indices folded onto it.
 
 At a given price most states cannot prefer staying.  E[h(e')] is a
 positively weighted sum of values of h, so it is at least min(min h, 0) up
@@ -160,57 +160,57 @@ class ThresholdTable:
 
 
 class _ErrorGridMdp:
-    """Grid geometry and noise quadrature for one plant class, the stay action on e >= 0 only."""
+    """Grid geometry and noise quadrature for one plant class, on the half e >= 0 only."""
 
     def __init__(self, a: float, qe: float, z: float, cfg: ViConfig):
         self.cfg = cfg
         self.params = a, qe, z
         half = int(round(cfg.e_max / cfg.e_step))
-        self.grid = (np.arange(-half, half + 1)) * cfg.e_step
-        self.n = self.grid.size
-        self.mid = half
+        self.grid = np.arange(half + 1) * cfg.e_step
+        self.mid = half  # the index of e = 0 on the full grid of [-e_max, e_max]
 
         nodes, weights = np.polynomial.hermite.hermgauss(cfg.noise_quad)
         sigma = math.sqrt(z)
         self.w_pts = nodes * math.sqrt(2.0) * sigma
         self.w_wts = weights / math.sqrt(math.pi)
 
-        upper = self.grid[half:]  # e >= 0: stay values are needed only there
-        self.stay = self._interp_coeffs(a * upper[:, None] + self.w_pts[None, :])
+        self.stay = self._interp_coeffs(a * self.grid[:, None] + self.w_pts[None, :])
         self.send = self._interp_coeffs(self.w_pts.copy())
 
         # Qe * E[e'^2] given each action; the Qe*Z floor is paid either way.
-        self.stay_cost = qe * ((a * upper) ** 2 + z)
+        self.stay_cost = qe * ((a * self.grid) ** 2 + z)
         self.send_cost = qe * z
 
     def _interp_coeffs(self, pos):
-        """(lo, 1 - fr, fr) placing `pos`, clamped to the grid, between grid points lo and
-        lo + 1, and two work buffers.  `pos` becomes `fr`: one temporary at a time."""
+        """(lo, hi, 1 - fr, fr) placing `pos`, clamped to [-e_max, e_max], between the full
+        grid's points lo and lo + 1, folded onto the half as lo = |lo - mid| and hi =
+        |lo + 1 - mid|, and two work buffers.  `pos` becomes `fr`: one temporary at a time."""
         e_max = self.cfg.e_max
         np.clip(pos, -e_max, e_max, out=pos)
         pos += e_max
         pos /= self.cfg.e_step
         lo = np.floor(pos).astype(np.int64)
-        np.clip(lo, 0, self.n - 2, out=lo)
+        np.clip(lo, 0, 2 * self.mid - 1, out=lo)
         pos -= lo
         fr = np.clip(pos, 0.0, 1.0, out=pos)
-        return lo, 1.0 - fr, fr, np.empty(pos.shape), np.empty(pos.shape)
+        lo -= self.mid
+        return abs(lo), abs(lo + 1), 1.0 - fr, fr, np.empty(pos.shape), np.empty(pos.shape)
 
     def expected_value(self, h, coeffs):
-        """E[h(e')] under one action, (h[lo] * (1 - fr) + h[lo + 1] * fr) @ w_wts to the
-        double, in its work buffers: h[lo + 1] is h[1:][lo] as lo <= n - 2, and "clip"
-        mode lets `take` write into `out` unbuffered.  Only the result is a new array."""
-        lo, keep, fr, low, high = coeffs
+        """E[h(e')] under one action, (h[lo] * (1 - fr) + h[hi] * fr) @ w_wts to the double,
+        in its work buffers, for `h` on the half grid: "clip" mode lets `take` write into
+        `out` unbuffered.  Only the result is a new array."""
+        lo, hi, keep, fr, low, high = coeffs
         h.take(lo, out=low, mode="clip")
         low *= keep
-        h[1:].take(lo, out=high, mode="clip")
+        h.take(hi, out=high, mode="clip")
         high *= fr
         low += high
         return low @ self.w_wts
 
     def backup(self, h, lam: float) -> tuple:
-        """(send, stay) for an even `h`: the cost-to-go of sending, and stay_cost + E[h(e')]
-        on the leading states e >= 0 that may prefer staying; every later state sends.
+        """(send, stay) for `h` on the half grid: the cost-to-go of sending, and stay_cost +
+        E[h(e')] on the leading states that may prefer staying; every later state sends.
 
         Those are the states before the first whose stay cost exceeds send - min(min h, 0)
         by a rounding margin, rounded up to a multiple of four rows: the matrix-vector
@@ -218,8 +218,7 @@ class _ErrorGridMdp:
         product.  Their expected values use leading rows of the coefficients and buffers.
         """
         send = self.send_cost + lam + float(self.expected_value(h, self.send))
-        half = h[self.mid:]
-        lowest, highest = float(np.minimum.reduce(half)), float(np.maximum.reduce(half))
+        lowest, highest = float(np.minimum.reduce(h)), float(np.maximum.reduce(h))
         margin = 1e-9 * (abs(send) + max(highest, -lowest) + 1.0)
         rows = int(self.stay_cost.searchsorted(send - min(lowest, 0.0) + margin, side="right"))
         rows = -(-rows // 4) * 4
@@ -230,26 +229,24 @@ class _ErrorGridMdp:
 def _solve_threshold(lam: float, mdp: _ErrorGridMdp, h: np.ndarray | None = None):
     """Relative value iteration under `mdp.cfg` on the half e >= 0; returns (threshold, h).
 
-    `h`, the start, and the h returned are over the full, mirrored grid, in
-    arrays no later step writes; no start means h = 0.
+    `h`, the start (none means h = 0), and the h returned hold the even value
+    function on the half grid; each iterate is a fresh array no later step writes.
     """
     cfg = mdp.cfg
     if h is None:
-        h = np.zeros(mdp.n)
+        h = np.zeros(mdp.grid.size)
     send, stay = mdp.backup(h, lam)
-    th = np.empty(mdp.stay_cost.shape)  # each iterate's half e >= 0, before mirroring
     span = math.inf
     for it in range(cfg.max_iter):
-        th[stay.size:] = send
+        th = np.full(h.size, send)
         np.minimum(stay, send, out=th[:stay.size])
-        diff = th - h[mdp.mid:]
+        diff = th - h
         # as Python floats, an overflowed iterate's inf - inf is nan without a warning
         span = float(np.maximum.reduce(diff)) - float(np.minimum.reduce(diff))
         if not math.isfinite(span):
             raise ValueIterationError(f"non-finite values at lambda={lam:g}: span {span} "
                                       f"after {it + 1} iterations")
-        th -= th[0]
-        h = np.concatenate((th[:0:-1], th))  # h is even in e: mirror the half e >= 0
+        h = th - th[0]
         send, stay = mdp.backup(h, lam)
         if span <= cfg.span_tol:
             break
@@ -266,12 +263,12 @@ def _solve_threshold(lam: float, mdp: _ErrorGridMdp, h: np.ndarray | None = None
                                       "refine the grid")
     # a threshold at the edge is the clamped grid's; never sampling is exact only if qe = 0
     a, qe, z = mdp.params
-    if first >= mdp.stay_cost.size - 1 and qe > 0:
+    if first >= h.size - 1 and qe > 0:
         raise ThresholdStructureError(f"threshold at lambda={lam:g} reaches the grid's edge "
                                       f"e_max={cfg.e_max:g} for the class a={a:g}, "
                                       f"weight*qe={qe:g}, z={z:g}")
-    if first < mdp.stay_cost.size:
-        return float(mdp.grid[mdp.mid + first]), h
+    if first < h.size:
+        return float(mdp.grid[first]), h
     return float(cfg.e_max), h
 
 

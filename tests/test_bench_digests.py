@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = {
     "congested": "3eb5d9b7bf1f2f37",
     "light": "281a4fa0588268e0",
-    "sweep": "02691f45d81d533b",
+    "sweep": "c0cfc0f00f4fee9f",
 }
 
 PROBE = """

@@ -34,6 +34,20 @@ def two_hop_action_set(sc):
     return ActionSet(actions=list(itertools.product(*choices)), rate_fn=rate_fn)
 
 
+def open_loop_overflow_step(seed, loop, a, horizon, warmup):
+    """First step at which x, x^2 or the costed sum of x^2 is not finite for
+    x[k+1] = a x[k] + w[k] from 0, w the loop's N(0, 1) noise as a scenario of `seed`
+    draws it: the stage cost of a loop with Qx = 1, Qu = 0 whose input stays 0."""
+    w = np.random.default_rng(np.random.SeedSequence([seed, loop])).normal(0.0, 1.0, horizon)
+    x = np.zeros(horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, horizon):
+            x[k] = a * x[k - 1] + w[k - 1]
+        cost = x * x
+        total = np.cumsum(np.where(np.arange(horizon) >= warmup, cost, 0.0))
+    return int(np.argmax(~(np.isfinite(x) & np.isfinite(cost) & np.isfinite(total))))
+
+
 class TestScenarioGenerator:
     def test_classes_split_evenly(self):
         sc = make_two_hop_scenario(2, seed=0)
@@ -326,7 +340,11 @@ class TestRun:
     def test_overflow_is_an_error_naming_the_loops(self, tables):
         sc = make_two_hop_scenario(4, seed=0, horizon=5000)
         never = np.zeros((5000, 4), dtype=bool)  # the unstable loops 2 and 3 run open loop
-        with pytest.raises(NonFiniteError, match=r"loops \[2, 3\]"):
+        steps = [open_loop_overflow_step(0, i, 1.25, 5000, 500) for i in (2, 3)]
+        assert 500 < min(steps) and max(steps) < 4999  # the costed sum, not the last state
+        with pytest.raises(NonFiniteError,
+                           match=rf"loops \[2, 3\] \(seed 0\), first at steps \[{steps[0]}, "
+                                 rf"{steps[1]}\]$"):
             run(sc, tables, theta=0.8, force_delta=never)
 
     @pytest.mark.filterwarnings("error")
@@ -346,7 +364,10 @@ class TestRun:
         force = np.zeros((horizon, 3), dtype=bool)
         force[:3300, :2] = True
         force[5, 2] = True
-        with pytest.raises(NonFiniteError, match=r"loops \[2\]"):
+        # the sample waits past the overflow, so loop 2's input stays 0 until then
+        step = open_loop_overflow_step(1, 2, 1.25, horizon, horizon // 10)
+        assert step < 3300
+        with pytest.raises(NonFiniteError, match=rf"loops \[2\] \(seed 1\), first at steps \[{step}\]$"):
             run(sc, tables, theta=0.8, force_delta=force)
 
     def test_cost_is_undefined_until_a_period_closes(self, tables):
@@ -426,6 +447,21 @@ class TestSweep:
         assert cell.n == 3
         assert cell.mean == pytest.approx(1.0, abs=0.01)
         assert result.cell(2, "all", "delay").mean == 0.0
+        costs = []
+        for rep in range(3):
+            m = run(make_two_hop_scenario(2, seed=run_seed(5, 2, rep), horizon=1200), tables)
+            costs.append(m.class_means(m.cost_per_loop)["all"])
+        cost = result.cell(2, "all", "cost")
+        assert cost.ci95 > 0
+        assert cost.ci95 == engine._t975(2) * np.std(costs, ddof=1) / math.sqrt(3)
+
+    @pytest.mark.parametrize("dof, printed", [(1, 12.706), (2, 4.303), (9, 2.262), (29, 2.045)])
+    def test_t_quantile_matches_printed_tables(self, dof, printed):
+        assert engine._t975(dof) == pytest.approx(printed, abs=5e-4)
+
+    def test_t_quantile_matches_the_closed_forms_at_one_and_two_dof(self):
+        assert engine._t975(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-14)
+        assert engine._t975(2) == pytest.approx(0.95 * math.sqrt(2 / (1 - 0.95 ** 2)), rel=1e-14)
 
     def test_one_replication_has_no_interval(self, tables):
         result = sweep([2], replications=1, master_seed=5, tables=tables, horizon=200)

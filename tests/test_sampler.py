@@ -145,8 +145,8 @@ class TestExpectedValue:
 
     @staticmethod
     def formula(h, mdp, coeffs):
-        lo, fr = coeffs[0], coeffs[2]
-        return (h[lo] * (1.0 - fr) + h[lo + 1] * fr) @ mdp.w_wts
+        lo, hi, fr = coeffs[0], coeffs[1], coeffs[3]
+        return (h[lo] * (1.0 - fr) + h[hi] * fr) @ mdp.w_wts
 
     @pytest.mark.parametrize(
         "spec", [*TWO_HOP_PLANTS, PlantSpec(A=0.9, B=1.0, Z=2.0, Qx=1.0, Qu=0.0)],
@@ -155,8 +155,7 @@ class TestExpectedValue:
         mdp = grid_mdp(spec)
         rng = np.random.default_rng(17)
         for scale in (1.0, 1e-3, 1e4):
-            h = scale * rng.standard_normal(mdp.n)
-            h = h + h[::-1]  # the value functions are even in e
+            h = scale * rng.standard_normal(mdp.grid.size)  # the half e >= 0 of an even h
             eh_stay = self.formula(h, mdp, mdp.stay)
             assert np.array_equal(mdp.expected_value(h, mdp.stay), eh_stay)
             assert mdp.expected_value(h, mdp.send) == self.formula(h, mdp, mdp.send)
@@ -173,8 +172,10 @@ class TestExpectedValue:
         _, h = _solve_threshold(1.0, mdp)
         kept = h.copy()
         threshold, h2 = _solve_threshold(2.0, mdp, h)
-        want, (want_h2, _) = vi_oracle._solve_threshold(2.0, full, (h, full.expected_values(h)))
-        assert threshold == want and np.array_equal(h2, want_h2)
+        mirrored = np.concatenate((h[:0:-1], h))  # the full grid the oracle iterates on
+        want, (want_h2, _) = vi_oracle._solve_threshold(
+            2.0, full, (mirrored, full.expected_values(mirrored)))
+        assert threshold == want and np.array_equal(h2, want_h2[mdp.mid:])
         assert np.array_equal(h, kept)
 
 
@@ -212,10 +213,10 @@ class TestPinnedThresholds:
         the full-row iterate: past the cut, staying costs at least as much as sending."""
         mdp = grid_mdp(spec)
         _, h = _solve_threshold(7.0, mdp)
-        assert np.array_equal(h, h[::-1])
+        assert h.size == mdp.grid.size  # the half e >= 0 of the even value function
         send, stay = mdp.backup(h, 7.0)
         rows = stay.size
-        assert rows == mdp.n // 2 + 1 or (rows % 4 == 0 and rows < mdp.n // 2 + 1)
+        assert rows == mdp.grid.size or (rows % 4 == 0 and rows < mdp.grid.size)
         full = mdp.stay_cost + mdp.expected_value(h, mdp.stay)
         assert np.array_equal(stay, full[:rows])
         assert np.all(full[rows:] >= send)
